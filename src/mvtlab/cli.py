@@ -22,13 +22,26 @@ def _parse_traffic(text: str) -> tuple[int, ...]:
 
 
 def cmd_run(args) -> int:
+    try:
+        config = _run_config(args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    outputs = run_experiment(config)
+    for kind in ("csv", "svg", "manifest"):
+        print(f"{kind}: {outputs[kind]}")
+    return 0
+
+
+def _run_config(args):
+    """The preset or config file named on the command line with the
+    command-line overrides applied; ValueError for any invalid setting."""
     if args.target in PRESETS:
         config = PRESETS[args.target]
     else:
         path = Path(args.target)
         if not path.exists():
-            print(f"error: {args.target!r} is neither a preset nor a config file", file=sys.stderr)
-            return 2
+            raise ValueError(f"{args.target!r} is neither a preset nor a config file")
         config = parse_config(path.read_text(), name=path.stem)
     overrides = {}
     if args.seed is not None:
@@ -41,11 +54,7 @@ def cmd_run(args) -> int:
         overrides["fixed_evaluator"] = True
     if args.out is not None:
         overrides["out_dir"] = args.out
-    config = replace(config, **overrides)
-    outputs = run_experiment(config)
-    for kind in ("csv", "svg", "manifest"):
-        print(f"{kind}: {outputs[kind]}")
-    return 0
+    return replace(config, **overrides)
 
 
 def cmd_validate_array(args) -> int:

@@ -18,10 +18,11 @@ from .evaluator import Evaluator
 from .genome import Candidate, SearchSpace, control, one_gene_variants
 from .simstats import (
     DEFAULT_PRIOR_STRENGTH,
+    PBC_TOL,
     CandidateStats,
     global_prior,
     posterior,
-    prob_beats_control,
+    prob_beats_control_many,
     simulate_conversions,
 )
 
@@ -162,6 +163,34 @@ def _tweak_one_gene(
     return Candidate(choices)
 
 
+def beat_control_winner(
+    tested: dict,
+    ctrl: Candidate,
+    ctrl_stats: CandidateStats,
+    prior_strength: float = DEFAULT_PRIOR_STRENGTH,
+) -> tuple[Candidate, float]:
+    """The tested genome with the highest probability to beat control, and
+    that probability, under posteriors smoothed by the pooled prior.
+
+    The control is itself a tested candidate (PBC exactly 1/2 against its
+    own posterior), so nothing with worse evidence than the default can
+    win. PBC is compared in units of PBC_TOL, the accuracy it is computed
+    to, so clear winners near 1.0 tie whatever the quadrature's rounding;
+    posterior mean breaks those ties, and the earlier entry wins a full tie.
+    """
+    prior = global_prior([*tested.values(), ctrl_stats], strength=prior_strength)
+    ctrl_post = posterior(ctrl_stats, prior)
+    posts = [posterior(stats, prior) for stats in tested.values()]
+    pbcs = prob_beats_control_many(
+        [p.alpha for p in posts], [p.beta for p in posts], ctrl_post
+    )
+    pbcs = [0.5, *pbcs.tolist()]
+    means = [ctrl_post.mean, *(p.mean for p in posts)]
+    best = max(range(len(pbcs)), key=lambda i: (round(pbcs[i] / PBC_TOL), means[i]))
+    winner = Candidate(list(tested)[best - 1]) if best else ctrl
+    return winner, pbcs[best]
+
+
 @dataclass(frozen=True)
 class EvolutionResult:
     records: tuple
@@ -229,22 +258,7 @@ def run_evolution(
         if g + 1 < config.generations:
             population = next_generation(record, config, space, rng, prior=prior)
 
-    all_stats = list(tested.values()) + [ctrl_stats]
-    prior = global_prior(all_stats, strength=prior_strength)
-    ctrl_post = posterior(ctrl_stats, prior)
-
-    # The control is itself a tested candidate (PBC exactly 1/2 against its
-    # own posterior), so nothing with worse evidence than the default can
-    # win. Quadrature saturates near 0/1, making clear winners tie at 1.0
-    # within tolerance; posterior mean breaks those ties.
-    winner, winner_key = ctrl, (0.5, ctrl_post.mean)
-    for genome, stats in tested.items():
-        post = posterior(stats, prior)
-        pbc = prob_beats_control(post, ctrl_post)
-        key = (pbc, post.mean)
-        if key > winner_key:
-            winner, winner_key = Candidate(genome), key
-    winner_pbc = winner_key[0]
+    winner, winner_pbc = beat_control_winner(tested, ctrl, ctrl_stats, prior_strength)
     return EvolutionResult(
         records=tuple(records),
         winner=winner,

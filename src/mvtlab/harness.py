@@ -11,6 +11,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from .evaluator import (
     LINEAR,
@@ -55,8 +56,10 @@ class ExperimentConfig:
     out_dir: str = "out"
 
     def __post_init__(self):
-        if self.repetitions < 1:
-            raise ValueError("need at least one repetition")
+        # aggregate_runs needs two values per traffic level; fail here
+        # rather than after the first level has run.
+        if self.repetitions < 2:
+            raise ValueError(f"need at least two repetitions, got {self.repetitions}")
         if list(self.traffic) != sorted(set(self.traffic)):
             raise ValueError("traffic sweep must be strictly increasing")
         if self.curve not in ("comparison", "during"):
@@ -372,6 +375,8 @@ def run_experiment(config: ExperimentConfig) -> dict:
         "config_sha256": config_digest(config),
         "mvtlab_version": ver,
         "numpy_version": np.__version__,
+        # beat-control numbers come from scipy.special.betainc
+        "scipy_version": scipy.__version__,
     }
     manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return {"csv": csv_path, "svg": svg_path, "manifest": manifest_path, "series": series}
@@ -404,6 +409,11 @@ def parse_config(text: str, name: str = "custom") -> ExperimentConfig:
             values[key] = rhs.strip()  # bare strings (array names, modes)
     if "space" not in values:
         raise ValueError("config must define a space")
+    fixed_evaluator = values.get("fixed_evaluator", False)
+    if not isinstance(fixed_evaluator, bool):
+        raise ValueError(
+            f"fixed_evaluator must be True or False, got {fixed_evaluator!r}"
+        )
     weights = WeightConfig(
         bias=values.get("bias", WeightConfig.bias),
         delta_main=values.get("delta_main", WeightConfig.delta_main),
@@ -427,7 +437,7 @@ def parse_config(text: str, name: str = "custom") -> ExperimentConfig:
         traffic=tuple(values.get("traffic", DEFAULT_TRAFFIC_SWEEP)),
         repetitions=int(values.get("repetitions", 20)),
         master_seed=int(values.get("seed", 2024)),
-        fixed_evaluator=bool(values.get("fixed_evaluator", False)),
+        fixed_evaluator=fixed_evaluator,
         curve=str(values.get("curve", "comparison")),
         out_dir=str(values.get("out", "out")),
     )

@@ -1,8 +1,8 @@
 """Acceptance gate: one test per criterion, each printing a pass/fail line.
 
-The comparison-curve criteria (4-6) run the full bundled presets (20
-repetitions over the default traffic sweep), so this module takes a few
-minutes; everything is seeded and deterministic.
+The curve criteria (4-7) run the full bundled presets (20 repetitions over
+the default traffic sweep) through the session fixtures in conftest.py;
+everything is seeded and deterministic.
 """
 
 import math
@@ -14,12 +14,7 @@ import pytest
 from mvtlab.evaluator import LINEAR, brute_force_best, sample_evaluator
 from mvtlab.evolution import EvolutionConfig, init_population, run_evolution
 from mvtlab.genome import Candidate, SearchSpace
-from mvtlab.harness import (
-    PRESETS,
-    run_comparison,
-    run_during_experiment_curve,
-    run_experiment,
-)
+from mvtlab.harness import PRESETS, run_experiment
 from mvtlab.simstats import (
     BetaPosterior,
     allocate_evolution,
@@ -34,21 +29,6 @@ def report(criterion: str, ok: bool, detail: str = "") -> None:
     status = "PASS" if ok else "FAIL"
     suffix = f" ({detail})" if detail else ""
     print(f"acceptance {criterion}: {status}{suffix}")
-
-
-@pytest.fixture(scope="module")
-def setting2_series():
-    return run_comparison(PRESETS["setting2-linear"])
-
-
-@pytest.fixture(scope="module")
-def mixed_linear_series():
-    return run_comparison(PRESETS["mixed-linear"])
-
-
-@pytest.fixture(scope="module")
-def mixed_nonlinear_series():
-    return run_comparison(PRESETS["mixed-nonlinear"])
 
 
 def points(series, method):
@@ -164,10 +144,9 @@ def test_criterion_6_mixed_nonlinear_curve(mixed_nonlinear_series):
     assert ok, (overlap, dominance)
 
 
-def test_criterion_7_during_experiment_curve():
+def test_criterion_7_during_experiment_curve(during_series):
     config = PRESETS["during-experiment"]
-    series = run_during_experiment_curve(config)
-    taguchi_means = [p[0] for p in series.points["taguchi"]]
+    taguchi_means = [p[0] for p in during_series.points["taguchi"]]
     taguchi_flat = max(taguchi_means) - min(taguchi_means) < 0.002
 
     # Per-repetition endpoint comparison mirrors the harness seeding exactly.

@@ -7,6 +7,7 @@ import pytest
 from mvtlab.evaluator import LINEAR, brute_force_best, sample_evaluator
 from mvtlab.evolution import (
     EvolutionConfig,
+    beat_control_winner,
     GenerationRecord,
     crossover,
     init_population,
@@ -15,8 +16,15 @@ from mvtlab.evolution import (
     run_evolution,
     select_elites,
 )
-from mvtlab.genome import Candidate, SearchSpace
-from mvtlab.simstats import CandidateStats, allocate_evolution, global_prior
+from mvtlab.genome import Candidate, SearchSpace, control
+from mvtlab.simstats import (
+    PBC_TOL,
+    CandidateStats,
+    allocate_evolution,
+    global_prior,
+    posterior,
+    prob_beats_control,
+)
 
 
 def rng_for(seed):
@@ -237,3 +245,31 @@ def test_winner_not_worse_than_initial_generation():
         if ev.true_cr(result.winner) >= best_initial:
             ok += 1
     assert ok >= 18
+
+
+def test_winner_near_one_ranked_by_posterior_mean():
+    # Both candidates beat the control almost surely. The heavily tested one
+    # has the higher PBC, by less than half a PBC_TOL step; the lightly
+    # tested one has the higher posterior mean and must win.
+    ctrl_stats = CandidateStats(100_000, 5_000)
+    sure, better = CandidateStats(1_000_000, 60_000), CandidateStats(5_000, 334)
+    tested = {(1, 0): sure, (0, 1): better}
+    prior = global_prior([sure, better, ctrl_stats])
+    ctrl_post = posterior(ctrl_stats, prior)
+    pbc_sure = prob_beats_control(posterior(sure, prior), ctrl_post)
+    pbc_better = prob_beats_control(posterior(better, prior), ctrl_post)
+    assert 0 < pbc_sure - pbc_better < PBC_TOL / 2
+    assert posterior(better, prior).mean > posterior(sure, prior).mean
+
+    winner, winner_pbc = beat_control_winner(
+        tested, control(SearchSpace([2, 2])), ctrl_stats
+    )
+    assert winner == Candidate((0, 1))
+    assert winner_pbc == pbc_better  # reported unrounded
+
+
+def test_winner_defaults_to_control():
+    ctrl = control(SearchSpace([2, 2]))
+    tested = {(1, 0): CandidateStats(10_000, 300)}
+    winner, winner_pbc = beat_control_winner(tested, ctrl, CandidateStats(10_000, 600))
+    assert (winner, winner_pbc) == (ctrl, 0.5)

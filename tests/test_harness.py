@@ -7,6 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy
 
 from mvtlab.cli import main as cli_main
 from mvtlab.evaluator import LINEAR, brute_force_best, sample_evaluator
@@ -59,6 +60,8 @@ def test_config_validation():
         replace(PRESETS["setting2-linear"], traffic=(200, 100))
     with pytest.raises(ValueError):
         replace(PRESETS["setting2-linear"], repetitions=0)
+    with pytest.raises(ValueError):  # aggregate_runs needs two values
+        replace(PRESETS["setting2-linear"], repetitions=1)
     with pytest.raises(ValueError):
         replace(PRESETS["setting2-linear"], curve="sideways")
     with pytest.raises(KeyError):
@@ -149,6 +152,7 @@ def test_run_experiment_outputs(tmp_path):
     manifest = json.loads(outputs["manifest"].read_text())
     assert manifest["seed"] == cfg.master_seed
     assert len(manifest["config_sha256"]) == 64
+    assert manifest["scipy_version"] == scipy.__version__
 
 
 def test_rerun_is_byte_identical(tmp_path):
@@ -197,6 +201,10 @@ def test_parse_config_errors():
         parse_config("space = [2,2]\nbogus_key = 1")
     with pytest.raises(ValueError):
         parse_config("space [2,2]")
+    for flag in ("no", "'False'", "0"):
+        with pytest.raises(ValueError):
+            parse_config(f"space = [2,2]\nfixed_evaluator = {flag}")
+    assert parse_config("space = [2,2]\nfixed_evaluator = False").fixed_evaluator is False
 
 
 def test_cli_run_preset(tmp_path, capsys):
@@ -223,6 +231,19 @@ def test_cli_run_config_file(tmp_path):
 
 def test_cli_run_unknown_target():
     assert cli_main(["run", "definitely-not-here"]) == 2
+
+
+def test_cli_run_config_errors_are_one_line(tmp_path, capsys):
+    bad_flag = tmp_path / "bad.cfg"
+    bad_flag.write_text("space = [2, 2, 2]\narray = oa4_2x3\nfixed_evaluator = no\n")
+    for argv in (
+        ["run", "setting1-linear", "--reps", "1", "--out", str(tmp_path)],
+        ["run", str(bad_flag), "--out", str(tmp_path)],
+    ):
+        assert cli_main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def test_cli_validate_array(tmp_path, capsys):

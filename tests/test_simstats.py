@@ -1,7 +1,8 @@
 """Traffic allocation, Bernoulli simulation, and Beta-posterior tests.
 
-The probability-to-beat-control quadrature is cross-checked against a
-closed form, the complement identity, and a Monte Carlo oracle.
+The probability-to-beat-control computation is cross-checked against
+closed forms, the complement identity, a Monte Carlo oracle, and the
+adaptive-quadrature reference it falls back to.
 """
 
 import math
@@ -9,7 +10,9 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import special
 
+from mvtlab import simstats
 from mvtlab.simstats import (
     BetaPosterior,
     CandidateStats,
@@ -19,6 +22,7 @@ from mvtlab.simstats import (
     global_prior,
     posterior,
     prob_beats_control,
+    prob_beats_control_many,
     simulate_conversions,
 )
 
@@ -181,6 +185,91 @@ def test_pbc_narrow_posteriors():
     lose = prob_beats_control(BetaPosterior(500.0, 9500.0), BetaPosterior(600.0, 9400.0))
     assert win > 0.99
     assert win + lose == pytest.approx(1.0, abs=2e-6)
+
+
+def miller_prob_beats(cand, ctrl):
+    """Closed form for integer candidate alpha (Evan Miller, "Formulas for
+    Bayesian A/B Testing", 2015)."""
+    a_b, b_b, a_a, b_a = int(cand.alpha), cand.beta, ctrl.alpha, ctrl.beta
+    log_terms = [
+        special.betaln(a_a + i, b_b + b_a)
+        - math.log(b_b + i)
+        - special.betaln(1 + i, b_b)
+        - special.betaln(a_a, b_a)
+        for i in range(a_b)
+    ]
+    return math.fsum(math.exp(t) for t in log_terms)
+
+
+def test_pbc_matches_closed_form_on_integer_grid():
+    shapes = [1, 2, 5, 20, 200]
+    grid = [BetaPosterior(float(a), float(b)) for a in shapes for b in shapes]
+    for ctrl in grid:
+        batched = prob_beats_control_many(
+            [c.alpha for c in grid], [c.beta for c in grid], ctrl
+        )
+        exact = [miller_prob_beats(c, ctrl) for c in grid]
+        np.testing.assert_allclose(batched, exact, rtol=0, atol=1e-7)
+
+
+def realistic_posterior(prior_mean, impressions, cr):
+    conversions = round(impressions * cr)
+    return BetaPosterior(
+        prior_mean * 100 + conversions,
+        (1 - prior_mean) * 100 + impressions - conversions,
+    )
+
+
+cr_st = st.floats(min_value=0.001, max_value=0.3)
+impressions_st = st.integers(min_value=10, max_value=3_000_000)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    cr_st,
+    st.tuples(impressions_st, cr_st),
+    st.lists(st.tuples(impressions_st, cr_st), min_size=1, max_size=6),
+)
+def test_pbc_batched_matches_quadrature_reference(prior_mean, ctrl_obs, cand_obs):
+    ctrl = realistic_posterior(prior_mean, *ctrl_obs)
+    cands = [realistic_posterior(prior_mean, *obs) for obs in cand_obs]
+    batched = prob_beats_control_many(
+        [c.alpha for c in cands], [c.beta for c in cands], ctrl
+    )
+    reference = [simstats._prob_beats_control_quad(c, ctrl) for c in cands]
+    np.testing.assert_allclose(batched, reference, rtol=0, atol=1e-7)
+
+
+def test_pbc_shapes_below_one_use_fallback(monkeypatch):
+    reference = simstats._prob_beats_control_quad
+    routed = []
+
+    def recording(cand, ctrl):
+        routed.append((cand.alpha, cand.beta))
+        return reference(cand, ctrl)
+
+    monkeypatch.setattr(simstats, "_prob_beats_control_quad", recording)
+    ctrl = BetaPosterior(0.5, 0.5)
+    # Equal variances integrate over the control, Beta(0.7, 300) is the
+    # narrower density itself, and Beta(20, 30) is narrower with both
+    # shapes above 1, so only the first two fall back.
+    cands = [BetaPosterior(0.5, 0.5), BetaPosterior(0.7, 300.0), BetaPosterior(20.0, 30.0)]
+    batched = prob_beats_control_many(
+        [c.alpha for c in cands], [c.beta for c in cands], ctrl
+    )
+    assert routed == [(0.5, 0.5), (0.7, 300.0)]
+    expected = [reference(c, ctrl) for c in cands]
+    np.testing.assert_allclose(batched, expected, rtol=0, atol=1e-7)
+
+
+def test_prob_beats_control_many_matches_scalar():
+    ctrl = BetaPosterior(60.0, 940.0)
+    cands = [BetaPosterior(a, 1000.0 - a) for a in (40.0, 55.0, 60.0, 70.0, 90.0)]
+    batched = prob_beats_control_many(
+        [c.alpha for c in cands], [c.beta for c in cands], ctrl
+    )
+    assert batched.tolist() == [prob_beats_control(c, ctrl) for c in cands]
+    assert prob_beats_control_many([], [], ctrl).shape == (0,)
 
 
 def test_aggregate_runs():
