@@ -14,7 +14,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .harness import PRESETS, parse_config, run_experiment
-from .taguchi import ArrayFormatError, load_array, validate
+from .taguchi import parse_array, validate
 
 
 def _parse_traffic(text: str) -> tuple[int, ...]:
@@ -24,7 +24,7 @@ def _parse_traffic(text: str) -> tuple[int, ...]:
 def cmd_run(args) -> int:
     try:
         config = _run_config(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     outputs = run_experiment(config)
@@ -35,7 +35,9 @@ def cmd_run(args) -> int:
 
 def _run_config(args):
     """The preset or config file named on the command line with the
-    command-line overrides applied; ValueError for any invalid setting."""
+    command-line overrides applied and its array loaded and checked;
+    ValueError (or OSError, for an unreadable file) for any invalid
+    setting."""
     if args.target in PRESETS:
         config = PRESETS[args.target]
     else:
@@ -54,7 +56,9 @@ def _run_config(args):
         overrides["fixed_evaluator"] = True
     if args.out is not None:
         overrides["out_dir"] = args.out
-    return replace(config, **overrides)
+    config = replace(config, **overrides)
+    config.load_design()
+    return config
 
 
 def cmd_validate_array(args) -> int:
@@ -64,16 +68,9 @@ def cmd_validate_array(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        lines = [
-            ln.split("#", 1)[0].strip() for ln in text.splitlines()
-        ]
-        lines = [ln for ln in lines if ln]
-        levels = tuple(int(t) for t in lines[0].split())
-        rows = tuple(tuple(int(t) for t in ln.split()) for ln in lines[1:])
-        from .taguchi import OrthogonalArray
-
-        report = validate(OrthogonalArray(column_levels=levels, rows=rows))
-    except (ArrayFormatError, ValueError, IndexError) as exc:
+        # validate raises on values it cannot count, e.g. negative ones.
+        report = validate(parse_array(text))
+    except ValueError as exc:  # ArrayFormatError included
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
     for check in report.checks:

@@ -3,18 +3,19 @@
 A linear evaluator scores a candidate as bias plus one additive weight per
 variable; a nonlinear evaluator adds a weight for every pair of chosen
 values. Control-valued entries are pinned to zero so the control candidate's
-true rate equals the bias exactly.
+true rate equals the bias exactly. Each evaluator holds its whole clamped
+landscape as a dense array with one cell per candidate, so scoring a
+population is one index operation.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .genome import Candidate, SearchSpace, control
+from .genome import Candidate, SearchSpace
 
 CR_FLOOR = 0.001
 CR_CEIL = 0.999
@@ -26,7 +27,8 @@ DEFAULT_BIAS = 0.05
 DEFAULT_DELTA_MAIN = 0.01
 DEFAULT_DELTA_PAIR = 0.005
 
-DEFAULT_ENUMERATION_CAP = 10**7
+# The dense landscape costs 8 bytes per candidate: 10^7 cells is 80 MB.
+LANDSCAPE_CAP = 10**7
 
 
 class EvaluatorConfigError(ValueError):
@@ -40,38 +42,85 @@ class WeightConfig:
     delta_pair: float = DEFAULT_DELTA_PAIR
 
 
+def check_landscape_size(space: SearchSpace) -> None:
+    """Reject a space whose dense landscape would exceed LANDSCAPE_CAP cells."""
+    if space.total_combinations > LANDSCAPE_CAP:
+        raise EvaluatorConfigError(
+            f"space of {space.total_combinations} candidates exceeds the "
+            f"landscape cap of {LANDSCAPE_CAP} cells"
+        )
+
+
 @dataclass(frozen=True)
 class Evaluator:
     """Holds the bias, per-variable main-effect table, and (in nonlinear
-    mode) the per-variable-pair interaction table."""
+    mode) the per-variable-pair interaction table, plus `table`, the clamped
+    true conversion rate of every candidate as an array of shape
+    `space.cardinalities`."""
 
     space: SearchSpace
     bias: float
     main_effects: tuple[tuple[float, ...], ...]
-    interactions: dict = field(default_factory=dict)  # (j, k) -> 2-d array-like
+    interactions: dict = field(default_factory=dict)  # (j, k), j < k -> 2-d array-like
     mode: str = LINEAR
+    table: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.mode not in (LINEAR, NONLINEAR):
             raise ValueError(f"unknown mode {self.mode!r}")
-        for i, (table, k) in enumerate(zip(self.main_effects, self.space.cardinalities)):
+        cards = self.space.cardinalities
+        if len(self.main_effects) != len(cards):
+            raise ValueError(
+                f"{len(self.main_effects)} main-effect tables for {len(cards)} variables"
+            )
+        for i, (table, k) in enumerate(zip(self.main_effects, cards)):
             if len(table) != k:
                 raise ValueError(f"main-effect table size mismatch at variable {i}")
             if table[0] != 0.0:
                 raise ValueError(f"main effect of control value must be 0 (variable {i})")
         if self.mode == LINEAR and self.interactions:
             raise ValueError("linear mode cannot carry interaction weights")
+        for j, k in self.interactions:
+            if not 0 <= j < k < len(cards):
+                raise ValueError(f"interaction key {(j, k)} is not a variable pair j < k")
+            if np.shape(self.interactions[(j, k)]) != (cards[j], cards[k]):
+                raise ValueError(f"interaction table size mismatch at pair {(j, k)}")
+        check_landscape_size(self.space)
+        object.__setattr__(self, "table", self._landscape())
+
+    def _landscape(self) -> np.ndarray:
+        # Same float64 additions in the same order as summing one candidate's
+        # terms (bias, main effects by variable, pairs in table order), so
+        # every cell equals that per-candidate sum bit for bit.
+        cards = self.space.cardinalities
+        cr = np.full(cards, self.bias)
+        for i, table in enumerate(self.main_effects):
+            shape = [1] * len(cards)
+            shape[i] = cards[i]
+            cr += np.reshape(table, shape)
+        for (j, k), table in self.interactions.items():
+            shape = [1] * len(cards)
+            shape[j], shape[k] = cards[j], cards[k]
+            cr += np.reshape(table, shape)
+        return np.clip(cr, CR_FLOOR, CR_CEIL)
 
     def true_cr(self, c: Candidate) -> float:
         """Clamped true conversion rate of a candidate."""
         c.validate(self.space)
-        cr = self.bias
-        for i, v in enumerate(c.choices):
-            cr += self.main_effects[i][v]
-        if self.mode == NONLINEAR:
-            for (j, k), table in self.interactions.items():
-                cr += table[c.choices[j]][c.choices[k]]
-        return min(max(cr, CR_FLOOR), CR_CEIL)
+        return float(self.table[c.choices])
+
+    def true_crs(self, genomes) -> np.ndarray:
+        """Clamped true conversion rates of an (n, variables) array of
+        genomes, one per row."""
+        rows = np.asarray(genomes)
+        # Checked because numpy would read a negative index from the far end.
+        if rows.ndim != 2 or rows.shape[1] != len(self.space):
+            raise ValueError(
+                f"genomes of shape {rows.shape} for a {len(self.space)}-variable space"
+            )
+        if (rows < 0).any() or (rows >= self.table.shape).any():
+            raise ValueError("genome value out of range for this space")
+        return self.table[tuple(rows.T)]
 
     def to_json(self) -> str:
         doc = {
@@ -154,23 +203,10 @@ def sample_evaluator(
     )
 
 
-def brute_force_best(
-    ev: Evaluator,
-    space: SearchSpace | None = None,
-    cap: int = DEFAULT_ENUMERATION_CAP,
-) -> tuple[Candidate, float]:
+def brute_force_best(ev: Evaluator) -> tuple[Candidate, float]:
     """Exhaustive argmax of true_cr; lexicographically smallest candidate on
-    exact ties. Independent oracle for testing the optimizers."""
-    space = space or ev.space
-    if space.total_combinations > cap:
-        raise ValueError(
-            f"{space.total_combinations} combinations exceed the enumeration cap {cap}"
-        )
-    best_c = control(space)
-    best_cr = ev.true_cr(best_c)
-    for choices in itertools.product(*(range(k) for k in space.cardinalities)):
-        c = Candidate(choices)
-        cr = ev.true_cr(c)
-        if cr > best_cr:
-            best_c, best_cr = c, cr
-    return best_c, best_cr
+    exact ties (argmax returns the first maximum in C order). Oracle for
+    testing the optimizers."""
+    flat = int(np.argmax(ev.table))
+    best = Candidate(np.unravel_index(flat, ev.table.shape))
+    return best, float(ev.table.flat[flat])

@@ -4,13 +4,14 @@ The first generation is every one-gene variant of the control; later
 generations keep the top-ranked elites (with their accumulated statistics)
 and refill the rest by uniform crossover of elite pairs plus per-gene
 mutation. The winner is the tested candidate with the highest probability
-to beat control.
+to beat control. A population is an (n, variables) int array of genomes
+with per-slot impression and conversion count arrays.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,6 +20,7 @@ from .genome import Candidate, SearchSpace, control, one_gene_variants
 from .simstats import (
     DEFAULT_PRIOR_STRENGTH,
     PBC_TOL,
+    BetaPosterior,
     CandidateStats,
     global_prior,
     posterior,
@@ -43,37 +45,47 @@ class EvolutionConfig:
             raise ValueError("elite fraction must lie strictly between 0 and 1")
 
 
-@dataclass
+@dataclass(frozen=True)
 class GenerationRecord:
+    """One generation: genomes as an (n, variables) int array, each slot's
+    accumulated impressions and conversions (elites carry theirs forward),
+    this generation's true conversion rates, and the elites bred from."""
+
     index: int
-    population: list[tuple[Candidate, CandidateStats]]
-    elite_indices: list[int] = field(default_factory=list)
+    genomes: np.ndarray
+    impressions: np.ndarray
+    conversions: np.ndarray
+    true_crs: np.ndarray
+    elite_indices: list[int]
 
 
-def init_population(space: SearchSpace) -> list[Candidate]:
-    """First generation: every genome one gene away from the control."""
-    return one_gene_variants(space)
+def init_population(space: SearchSpace) -> np.ndarray:
+    """First generation: every genome one gene away from the control, one
+    per row."""
+    return np.array([c.choices for c in one_gene_variants(space)])
 
 
 def select_elites(
-    population: list[tuple[Candidate, CandidateStats]],
+    genomes: np.ndarray,
+    impressions: np.ndarray,
+    conversions: np.ndarray,
     elite_fraction: float,
-    prior,
+    prior: BetaPosterior,
 ) -> list[int]:
-    """Indices of the top ceil(fraction * n) candidates by posterior-mean
+    """Indices of the top ceil(fraction * n) slots by posterior-mean
     conversion rate, ties toward the earlier index, deduplicated by genome."""
-    if not population:
+    if len(genomes) == 0:
         raise ValueError("cannot select elites from an empty population")
-    if any(stats.impressions < 1 for _, stats in population):
+    if (impressions < 1).any():
         raise ValueError("every candidate needs at least one impression")
-    n_elites = math.ceil(elite_fraction * len(population))
-    ranked = sorted(
-        range(len(population)),
-        key=lambda i: (-posterior(population[i][1], prior).mean, i),
-    )
+    n_elites = math.ceil(elite_fraction * len(genomes))
+    # The posterior() arithmetic, one slot per element.
+    alphas = prior.alpha + conversions
+    means = alphas / (alphas + (prior.beta + (impressions - conversions)))
+    rows = genomes.tolist()
     elites, seen = [], set()
-    for i in ranked:
-        genome = population[i][0].choices
+    for i in np.argsort(-means, kind="stable").tolist():
+        genome = tuple(rows[i])
         if genome in seen:
             continue
         seen.add(genome)
@@ -83,84 +95,73 @@ def select_elites(
     return elites
 
 
-def crossover(
-    parent_a: Candidate, parent_b: Candidate, rng: np.random.Generator
-) -> Candidate:
-    """Uniform per-gene crossover: each choice from either parent with p=1/2."""
+def crossover(parent_a, parent_b, rng: np.random.Generator) -> list[int]:
+    """Uniform per-gene crossover: each gene from either parent with p=1/2."""
     if len(parent_a) != len(parent_b):
         raise ValueError("parents come from different spaces")
-    picks = rng.random(len(parent_a)) < 0.5
-    choices = [
-        a if take_a else b
-        for a, b, take_a in zip(parent_a.choices, parent_b.choices, picks)
-    ]
-    return Candidate(choices)
+    picks = (rng.random(len(parent_a)) < 0.5).tolist()
+    return [a if take_a else b for a, b, take_a in zip(parent_a, parent_b, picks)]
 
 
-def mutate(
-    c: Candidate, rate: float, space: SearchSpace, rng: np.random.Generator
-) -> Candidate:
+def mutate(genome, rate: float, space: SearchSpace, rng: np.random.Generator) -> list[int]:
     """Per gene with probability `rate`, switch to a uniformly random
     different value of that variable."""
-    c.validate(space)
-    choices = list(c.choices)
-    hits = rng.random(len(choices)) < rate
+    if len(genome) != len(space):
+        raise ValueError(f"genome has {len(genome)} genes for a {len(space)}-variable space")
+    child = list(genome)
+    hits = (rng.random(len(child)) < rate).tolist()
     for i, hit in enumerate(hits):
-        if not hit:
-            continue
-        k = space.cardinalities[i]
-        # Draw among the k-1 alternatives, skipping the current value.
-        alt = int(rng.integers(k - 1))
-        choices[i] = alt if alt < choices[i] else alt + 1
-    return Candidate(choices)
+        if hit:
+            child[i] = _other_value(child[i], space.cardinalities[i], rng)
+    return child
+
+
+def _other_value(value: int, k: int, rng: np.random.Generator) -> int:
+    """A uniformly random value of a k-valued variable other than `value`."""
+    alt = int(rng.integers(k - 1))
+    return alt if alt < value else alt + 1
 
 
 def next_generation(
-    record: GenerationRecord,
+    genomes: np.ndarray,
+    impressions: np.ndarray,
+    conversions: np.ndarray,
+    elite_indices: list[int],
     config: EvolutionConfig,
     space: SearchSpace,
     rng: np.random.Generator,
-    prior=None,
-) -> list[tuple[Candidate, CandidateStats]]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Elites pass through with their accumulated stats; the remaining slots
-    are crossover children of elite pairs, then mutated. Size is unchanged."""
-    prior = prior or global_prior([s for _, s in record.population])
-    elite_idx = record.elite_indices or select_elites(
-        record.population, config.elite_fraction, prior
-    )
-    if not elite_idx:
+    are crossover children of elite pairs, then mutated, with no stats yet.
+    Returns (genomes, impressions, conversions); size is unchanged."""
+    if not elite_indices:
         raise ValueError("no elites available to breed from")
-    elites = [record.population[i] for i in elite_idx]
-    new_pop: list[tuple[Candidate, CandidateStats]] = list(elites)
-    seen = {cand.choices for cand, _ in new_pop}
-    while len(new_pop) < len(record.population):
+    carried = np.array(elite_indices)
+    elites = genomes[carried].tolist()
+    rows = list(elites)
+    seen = {tuple(row) for row in rows}
+    while len(rows) < len(genomes):
         if len(elites) >= 2:
             i, j = rng.choice(len(elites), size=2, replace=False)
         else:
             i = j = 0
-        child = crossover(elites[int(i)][0], elites[int(j)][0], rng)
+        child = crossover(elites[i], elites[j], rng)
         child = mutate(child, config.mutation_rate, space, rng)
         # Crossover of a small elite pool mostly reproduces the same few
         # genomes; a duplicate child would just split traffic without adding
         # information. Force duplicates into an untested neighbor instead.
         attempts = 0
-        while child.choices in seen and attempts < 64:
-            child = _tweak_one_gene(child, space, rng)
+        while tuple(child) in seen and attempts < 64:
+            gene = int(rng.integers(len(child)))
+            child[gene] = _other_value(child[gene], space.cardinalities[gene], rng)
             attempts += 1
-        seen.add(child.choices)
-        new_pop.append((child, CandidateStats()))
-    return new_pop
-
-
-def _tweak_one_gene(
-    c: Candidate, space: SearchSpace, rng: np.random.Generator
-) -> Candidate:
-    choices = list(c.choices)
-    i = int(rng.integers(len(choices)))
-    k = space.cardinalities[i]
-    alt = int(rng.integers(k - 1))
-    choices[i] = alt if alt < choices[i] else alt + 1
-    return Candidate(choices)
+        seen.add(tuple(child))
+        rows.append(child)
+    new_impressions = np.zeros(len(genomes), dtype=impressions.dtype)
+    new_conversions = np.zeros(len(genomes), dtype=conversions.dtype)
+    new_impressions[: len(carried)] = impressions[carried]
+    new_conversions[: len(carried)] = conversions[carried]
+    return np.array(rows), new_impressions, new_conversions
 
 
 def beat_control_winner(
@@ -180,12 +181,13 @@ def beat_control_winner(
     """
     prior = global_prior([*tested.values(), ctrl_stats], strength=prior_strength)
     ctrl_post = posterior(ctrl_stats, prior)
-    posts = [posterior(stats, prior) for stats in tested.values()]
-    pbcs = prob_beats_control_many(
-        [p.alpha for p in posts], [p.beta for p in posts], ctrl_post
-    )
-    pbcs = [0.5, *pbcs.tolist()]
-    means = [ctrl_post.mean, *(p.mean for p in posts)]
+    imp = np.array([s.impressions for s in tested.values()], dtype=np.int64)
+    conv = np.array([s.conversions for s in tested.values()], dtype=np.int64)
+    # The posterior() arithmetic, one tested genome per element.
+    alphas = prior.alpha + conv
+    betas = prior.beta + (imp - conv)
+    pbcs = [0.5, *prob_beats_control_many(alphas, betas, ctrl_post).tolist()]
+    means = [ctrl_post.mean, *(alphas / (alphas + betas)).tolist()]
     best = max(range(len(pbcs)), key=lambda i: (round(pbcs[i] / PBC_TOL), means[i]))
     winner = Candidate(list(tested)[best - 1]) if best else ctrl
     return winner, pbcs[best]
@@ -224,45 +226,59 @@ def run_evolution(
         )
 
     ctrl = control(space)
-    ctrl_cr = evaluator.true_cr(ctrl)
-    ctrl_stats = CandidateStats()
-
-    population = [(c, CandidateStats()) for c in init_population(space)]
-    pop_size = len(population)
-    tested: dict[tuple[int, ...], CandidateStats] = {}
-    records: list[GenerationRecord] = []
-
-    for g in range(config.generations):
-        slots = traffic_plan[g]
+    genomes = init_population(space)
+    pop_size = len(genomes)
+    for g, slots in enumerate(traffic_plan):
         if len(slots) != pop_size:
             raise ValueError(
                 f"generation {g} plan has {len(slots)} slots for {pop_size} candidates"
             )
-        simulated = []
-        for (cand, stats), impressions in zip(population, slots):
-            conv = simulate_conversions(evaluator.true_cr(cand), impressions, rng)
-            new_stats = stats + CandidateStats(impressions, conv)
-            simulated.append((cand, new_stats))
-            tested[cand.choices] = tested.get(cand.choices, CandidateStats()) + CandidateStats(
-                impressions, conv
-            )
-        ctrl_share = slots[0]
-        ctrl_stats = ctrl_stats + CandidateStats(
-            ctrl_share, simulate_conversions(ctrl_cr, ctrl_share, rng)
+    # Row g: generation g's impressions per slot, then the control's share.
+    served = np.array([[*slots, slots[0]] for slots in traffic_plan])
+    # This generation's true rates per slot, then the control's.
+    crs = np.append(np.zeros(pop_size), evaluator.true_crs([ctrl.choices]))
+    impressions = np.zeros(pop_size, dtype=np.int64)
+    conversions = np.zeros(pop_size, dtype=np.int64)
+    ctrl_conv = 0
+    tested: dict[tuple[int, ...], list[int]] = {}
+    records: list[GenerationRecord] = []
+
+    for g in range(config.generations):
+        # Bred genomes are in range by construction, so the landscape is
+        # indexed without true_crs's checks.
+        true_crs = evaluator.table[tuple(genomes.T)]
+        crs[:-1] = true_crs
+        # One draw for every slot, then the control's, in that stream order.
+        drawn = simulate_conversions(crs, served[g], rng)
+        impressions = impressions + served[g, :-1]
+        conversions = conversions + drawn[:-1]
+        ctrl_conv += int(drawn[-1])
+        for genome, n, c in zip(genomes.tolist(), served[g].tolist(), drawn.tolist()):
+            counts = tested.setdefault(tuple(genome), [0, 0])
+            counts[0] += n
+            counts[1] += c
+
+        # The pooled prior depends only on the population's totals.
+        pooled = CandidateStats(int(impressions.sum()), int(conversions.sum()))
+        prior = global_prior([pooled], strength=prior_strength)
+        elite_idx = select_elites(
+            genomes, impressions, conversions, config.elite_fraction, prior
         )
-
-        prior = global_prior([s for _, s in simulated], strength=prior_strength)
-        elite_idx = select_elites(simulated, config.elite_fraction, prior)
-        record = GenerationRecord(index=g, population=simulated, elite_indices=elite_idx)
-        records.append(record)
+        records.append(
+            GenerationRecord(g, genomes, impressions, conversions, true_crs, elite_idx)
+        )
         if g + 1 < config.generations:
-            population = next_generation(record, config, space, rng, prior=prior)
+            genomes, impressions, conversions = next_generation(
+                genomes, impressions, conversions, elite_idx, config, space, rng
+            )
 
-    winner, winner_pbc = beat_control_winner(tested, ctrl, ctrl_stats, prior_strength)
+    tested_stats = {genome: CandidateStats(*counts) for genome, counts in tested.items()}
+    ctrl_stats = CandidateStats(int(served[:, -1].sum()), ctrl_conv)
+    winner, winner_pbc = beat_control_winner(tested_stats, ctrl, ctrl_stats, prior_strength)
     return EvolutionResult(
         records=tuple(records),
         winner=winner,
         winner_pbc=winner_pbc,
         control_stats=ctrl_stats,
-        tested=tested,
+        tested=tested_stats,
     )

@@ -8,6 +8,7 @@ import hashlib
 import json
 import xml.sax.saxutils as saxutils
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,7 @@ from .evaluator import (
     NONLINEAR,
     Evaluator,
     WeightConfig,
+    check_landscape_size,
     sample_evaluator,
 )
 from .evolution import EvolutionConfig, run_evolution
@@ -56,21 +58,52 @@ class ExperimentConfig:
     out_dir: str = "out"
 
     def __post_init__(self):
-        # aggregate_runs needs two values per traffic level; fail here
-        # rather than after the first level has run.
+        # Settings a sweep would otherwise trip over mid-run are rejected
+        # here, before the first cell (the array's in load_design);
+        # aggregate_runs, for one, needs two values per traffic level.
         if self.repetitions < 2:
             raise ValueError(f"need at least two repetitions, got {self.repetitions}")
+        if not self.traffic:
+            raise ValueError("traffic sweep needs at least one level")
         if list(self.traffic) != sorted(set(self.traffic)):
             raise ValueError("traffic sweep must be strictly increasing")
         if self.curve not in ("comparison", "during"):
             raise ValueError(f"unknown curve kind {self.curve!r}")
+        if self.mode not in (LINEAR, NONLINEAR):
+            raise ValueError(f"unknown mode {self.mode!r}; use {LINEAR} or {NONLINEAR}")
+        check_landscape_size(self.space)
+        pop_size = sum(k - 1 for k in self.space.cardinalities)
+        need = self.evolution.generations * pop_size
+        if self.traffic[0] < need:
+            raise ValueError(
+                f"smallest traffic level {self.traffic[0]} cannot cover "
+                f"{self.evolution.generations} generations of {pop_size} candidates"
+            )
 
     def load_design(self) -> OrthogonalArray:
+        """The configured orthogonal array, checked against the space and the
+        smallest traffic level; loaded once per config."""
+        return self._design
+
+    @cached_property
+    def _design(self) -> OrthogonalArray:
         if self.array_path:
-            return load_array_file(self.array_path)
-        if self.array_name:
-            return load_bundled_array(self.array_name)
-        raise ValueError("config names no orthogonal array")
+            array = load_array_file(self.array_path)
+        elif self.array_name:
+            array = load_bundled_array(self.array_name)
+        else:
+            raise ValueError("config names no orthogonal array")
+        if array.column_levels != self.space.cardinalities:
+            raise ValueError(
+                f"array levels {list(array.column_levels)} do not match "
+                f"space {list(self.space.cardinalities)}"
+            )
+        if self.traffic[0] < array.n_rows:
+            raise ValueError(
+                f"smallest traffic level {self.traffic[0]} cannot cover "
+                f"the array's {array.n_rows} rows"
+            )
+        return array
 
 
 @dataclass(frozen=True)
@@ -150,12 +183,10 @@ def run_taguchi_arm(
             f"space {evaluator.space.cardinalities}"
         )
     allocation = allocate_taguchi(total_traffic, array.n_rows)
-    true_crs = [evaluator.true_cr(array.row_candidate(r)) for r in range(array.n_rows)]
-    scores = []
-    for impressions, cr in zip(allocation, true_crs):
-        conv = simulate_conversions(cr, impressions, rng)
-        scores.append(conv / impressions)
-    served = sum(n * cr for n, cr in zip(allocation, true_crs)) / total_traffic
+    true_crs = evaluator.true_crs(array.rows)
+    conversions = simulate_conversions(true_crs, allocation, rng)
+    scores = [c / n for c, n in zip(conversions.tolist(), allocation)]
+    served = sum(n * cr for n, cr in zip(allocation, true_crs.tolist())) / total_traffic
     return TaguchiArmResult(
         predict_cr=evaluator.true_cr(predict_best(array, scores)),
         candidate_cr=evaluator.true_cr(best_tested(array, scores)),
@@ -180,8 +211,8 @@ def run_evolution_arm(
     result = run_evolution(config.space, evaluator, plan, config.evolution, rng)
     served = 0.0
     for record, slots in zip(result.records, plan):
-        for (cand, _), impressions in zip(record.population, slots):
-            served += impressions * evaluator.true_cr(cand)
+        for impressions, cr in zip(slots, record.true_crs.tolist()):
+            served += impressions * cr
     return EvolutionArmResult(
         winner_cr=evaluator.true_cr(result.winner),
         served_avg_cr=served / total_traffic,
@@ -190,13 +221,16 @@ def run_evolution_arm(
 
 def _sweep(config: ExperimentConfig, metrics):
     """Shared sweep loop: metrics maps (tag_result, evo_result) to a dict of
-    method -> measurement; both arms share the evaluator and total traffic."""
+    method -> measurement; both arms share the evaluator and total traffic.
+
+    Repetitions run outermost, so each repetition's landscape is built once
+    and serves every traffic level; every cell still has its own seeds."""
     array = config.load_design()
-    per_method: dict[str, list[list[float]]] = {}
-    for t_idx, total in enumerate(config.traffic):
-        rep_values: dict[str, list[float]] = {}
-        for rep in range(config.repetitions):
-            evaluator = _evaluator_for(config, rep)
+    # per_level[t_idx][method]: one value per repetition, in repetition order
+    per_level: list[dict[str, list[float]]] = [{} for _ in config.traffic]
+    for rep in range(config.repetitions):
+        evaluator = _evaluator_for(config, rep)
+        for t_idx, total in enumerate(config.traffic):
             tag_rng = np.random.Generator(
                 np.random.PCG64(_derived_seed(config.master_seed, 202, t_idx, rep))
             )
@@ -206,7 +240,9 @@ def _sweep(config: ExperimentConfig, metrics):
             tag = run_taguchi_arm(array, evaluator, total, tag_rng)
             evo = run_evolution_arm(config, evaluator, total, evo_rng)
             for method, value in metrics(tag, evo).items():
-                rep_values.setdefault(method, []).append(value)
+                per_level[t_idx].setdefault(method, []).append(value)
+    per_method: dict[str, list[list[float]]] = {}
+    for rep_values in per_level:
         for method, values in rep_values.items():
             per_method.setdefault(method, []).append(list(aggregate_runs(values)))
     methods = tuple(per_method)
@@ -434,13 +470,23 @@ def parse_config(text: str, name: str = "custom") -> ExperimentConfig:
         array_name=str(array) if bundled else None,
         array_path=None if bundled or array is None else str(array),
         evolution=evo,
-        traffic=tuple(values.get("traffic", DEFAULT_TRAFFIC_SWEEP)),
+        traffic=_traffic_levels(values.get("traffic", DEFAULT_TRAFFIC_SWEEP)),
         repetitions=int(values.get("repetitions", 20)),
         master_seed=int(values.get("seed", 2024)),
         fixed_evaluator=fixed_evaluator,
         curve=str(values.get("curve", "comparison")),
         out_dir=str(values.get("out", "out")),
     )
+
+
+def _traffic_levels(value) -> tuple[int, ...]:
+    """A config file's traffic: one int or a sequence of ints."""
+    levels = (value,) if isinstance(value, int) else value
+    if not isinstance(levels, (list, tuple)) or not all(
+        isinstance(t, int) and not isinstance(t, bool) for t in levels
+    ):
+        raise ValueError(f"traffic must be an int or a list of ints, got {value!r}")
+    return tuple(levels)
 
 
 def get_preset(name: str, **overrides) -> ExperimentConfig:

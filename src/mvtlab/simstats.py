@@ -77,13 +77,14 @@ def allocate_evolution(
     return [allocate_taguchi(g, population_size) for g in per_gen]
 
 
-def simulate_conversions(
-    true_cr: float, impressions: int, rng: np.random.Generator
-) -> int:
-    """Exact binomial draw of conversions among the given impressions."""
-    if not 0.0 <= true_cr <= 1.0:
+def simulate_conversions(true_cr, impressions, rng: np.random.Generator):
+    """Exact binomial draw of conversions among the given impressions: an
+    int for scalar arguments, an array for arrays. An array draws element by
+    element from the stream, the same values as one scalar call each."""
+    crs = np.asarray(true_cr, dtype=float)
+    if not ((crs >= 0.0) & (crs <= 1.0)).all():
         raise ValueError(f"true conversion rate {true_cr} outside [0, 1]")
-    return int(rng.binomial(impressions, true_cr))
+    return rng.binomial(impressions, true_cr)
 
 
 def global_prior(
@@ -125,6 +126,8 @@ _X64, _W64 = np.polynomial.legendre.leggauss(64)
 _X96, _W96 = np.polynomial.legendre.leggauss(96)
 _GL_NODES = np.concatenate([_X64, _X96])
 _GL_WEIGHTS = np.concatenate([_W64, _W96])
+# Weighted density at or below which a node skips its betainc evaluation.
+_NEGLIGIBLE = 1e-20
 
 
 def prob_beats_control(cand: BetaPosterior, control: BetaPosterior) -> float:
@@ -165,12 +168,20 @@ def prob_beats_control_many(alphas, betas, control: BetaPosterior) -> np.ndarray
         + (b_int - 1.0)[:, None] * np.log1p(-y)
         - special.betaln(a_int, b_int)[:, None]
     )
+    pdf = np.exp(log_pdf)
+    # A node whose weighted density (times the half-width) is at most
+    # _NEGLIGIBLE adds at most that much to its rule's value, since the upper
+    # tail is at most 1; skipping betainc there moves the 64- and 96-node
+    # values by at most 160 * _NEGLIGIBLE together. A NaN density is not
+    # live, and its NaN product below still forces the fallback.
+    rows, cols = np.nonzero(pdf * _GL_WEIGHTS * half[:, None] > _NEGLIGIBLE)
+    upper = np.zeros_like(y)
     # 1 - betainc rather than betaincc: the complement is several times
     # slower per evaluation in vectorised form.
-    upper = 1.0 - special.betainc(a_tail[:, None], b_tail[:, None], y)
+    upper[rows, cols] = 1.0 - special.betainc(a_tail[rows], b_tail[rows], y[rows, cols])
     # Row sums rather than a matrix product, so each pair's value does not
     # depend on the rest of the batch.
-    weighted = np.exp(log_pdf) * upper * _GL_WEIGHTS
+    weighted = pdf * upper * _GL_WEIGHTS
     v64 = weighted[:, :64].sum(axis=1) * half
     v96 = weighted[:, 64:].sum(axis=1) * half
     # Integrated mass below lo almost surely loses; above hi it almost surely

@@ -111,8 +111,9 @@ def validate(a: OrthogonalArray) -> ValidationReport:
     return ValidationReport(checks=checks, pair_balance_info=tuple(pair_info))
 
 
-def load_array(text: str) -> OrthogonalArray:
-    """Parse and validate an array from file contents."""
+def parse_array(text: str) -> OrthogonalArray:
+    """Parse an array from file contents, checking the format only: integer
+    tokens, at least one row, every row as wide as the level line."""
     lines = []
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
@@ -132,7 +133,12 @@ def load_array(text: str) -> OrthogonalArray:
             raise ArrayFormatError(
                 f"row {r} has {len(row)} entries, expected {len(levels)}"
             )
-    a = OrthogonalArray(column_levels=levels, rows=rows)
+    return OrthogonalArray(column_levels=levels, rows=rows)
+
+
+def load_array(text: str) -> OrthogonalArray:
+    """Parse and validate an array from file contents."""
+    a = parse_array(text)
     report = validate(a)
     if not report.valid:
         names = ", ".join(

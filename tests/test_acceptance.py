@@ -13,7 +13,7 @@ import pytest
 
 from mvtlab.evaluator import LINEAR, brute_force_best, sample_evaluator
 from mvtlab.evolution import EvolutionConfig, init_population, run_evolution
-from mvtlab.genome import Candidate, SearchSpace
+from mvtlab.genome import SearchSpace
 from mvtlab.harness import PRESETS, run_experiment
 from mvtlab.simstats import (
     BetaPosterior,
@@ -194,30 +194,30 @@ def test_criterion_9_evolution_structural_suite():
     result = run_evolution(space, ev, plan, cfg, rng)
 
     eight_gens = len(result.records) == cfg.generations == 8
-    constant_pop = all(len(r.population) == pop_size for r in result.records)
+    constant_pop = all(len(r.genomes) == pop_size for r in result.records)
     elites_persist = all(
-        [prev.population[i][0] for i in prev.elite_indices]
-        == [c for c, _ in nxt.population[: len(prev.elite_indices)]]
+        prev.genomes[prev.elite_indices].tolist()
+        == nxt.genomes[: len(prev.elite_indices)].tolist()
         for prev, nxt in zip(result.records, result.records[1:])
     )
 
     # sampled-frequency checks at the stated tolerances
     freq_rng = np.random.Generator(np.random.PCG64(314))
-    a, b = Candidate([0, 0, 0, 0]), Candidate([1, 1, 1, 1])
+    a, b = [0, 0, 0, 0], [1, 1, 1, 1]
     from_a = sum(
         g == 0
         for _ in range(10_000)
-        for g in evolution_mod.crossover(a, b, freq_rng).choices
+        for g in evolution_mod.crossover(a, b, freq_rng)
     )
     crossover_ok = abs(from_a / 40_000 - 0.5) < 0.02
 
     mut_rng = np.random.Generator(np.random.PCG64(2718))
     wide = SearchSpace([4] * 10)
-    base = Candidate([0] * 10)
+    base = [0] * 10
     flips = sum(
         g != 0
         for _ in range(100_000)
-        for g in evolution_mod.mutate(base, 0.01, wide, mut_rng).choices
+        for g in evolution_mod.mutate(base, 0.01, wide, mut_rng)
     )
     mutation_ok = abs(flips / 1_000_000 - 0.01) < 0.001
 

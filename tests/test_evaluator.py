@@ -1,17 +1,23 @@
 """Ground-truth conversion model tests, checked against the brute-force
 enumeration oracle."""
 
+import itertools
+
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mvtlab.evaluator import (
     CR_CEIL,
     CR_FLOOR,
+    LANDSCAPE_CAP,
     LINEAR,
     NONLINEAR,
     Evaluator,
     EvaluatorConfigError,
     WeightConfig,
     brute_force_best,
+    check_landscape_size,
     sample_evaluator,
 )
 from mvtlab.genome import Candidate, SearchSpace, control
@@ -112,9 +118,77 @@ def test_brute_force_flat_landscape_tie_break():
 
 
 def test_brute_force_cap():
-    ev = sample_evaluator(SearchSpace([10] * 8), LINEAR, seed=0)
-    with pytest.raises(ValueError):
-        brute_force_best(ev, cap=10**6)
+    # The dense landscape is the enumeration, so the cap now bounds building
+    # an evaluator at all: 10^8 cells would take 800 MB.
+    with pytest.raises(EvaluatorConfigError):
+        sample_evaluator(SearchSpace([10] * 8), LINEAR, seed=0)
+    assert LANDSCAPE_CAP == 10**7
+    at_cap = SearchSpace([10] * 7)
+    check_landscape_size(at_cap)  # 10^7 cells is allowed
+    with pytest.raises(EvaluatorConfigError):
+        check_landscape_size(SearchSpace([10] * 7 + [2]))
+
+
+def test_brute_force_planted_ties_pick_lexicographically_smallest():
+    # Two planted maxima of exactly equal rate: (1, 2, 0) and (2, 1, 0).
+    ev = Evaluator(
+        space=SearchSpace([3, 3, 2]),
+        bias=0.05,
+        main_effects=((0.0, 0.01, 0.02), (0.0, 0.01, 0.02), (0.0, -0.01)),
+        interactions={
+            (0, 1): ((0.0, 0.0, 0.0), (0.0, 0.0, 0.005), (0.0, 0.005, -0.02)),
+            (0, 2): ((0.0, 0.0), (0.0, 0.0), (0.0, 0.0)),
+            (1, 2): ((0.0, 0.0), (0.0, 0.0), (0.0, 0.0)),
+        },
+        mode=NONLINEAR,
+    )
+    best, cr = brute_force_best(ev)
+    assert ev.true_cr(Candidate([2, 1, 0])) == cr
+    assert best == Candidate([1, 2, 0])
+
+
+def definitional_cr(ev, choices):
+    """One candidate's rate summed term by term, as the model defines it."""
+    cr = ev.bias
+    for i, v in enumerate(choices):
+        cr += ev.main_effects[i][v]
+    if ev.mode == NONLINEAR:
+        for (j, k), table in ev.interactions.items():
+            cr += table[choices[j]][choices[k]]
+    return min(max(cr, CR_FLOOR), CR_CEIL)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.integers(min_value=2, max_value=6), min_size=2, max_size=6),
+    st.sampled_from([LINEAR, NONLINEAR]),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_landscape_table_is_bit_identical_to_definitional_sum(cards, mode, seed):
+    space = SearchSpace(cards)
+    weights = WeightConfig(delta_main=0.02, delta_pair=0.002)  # clamps can bind
+    ev = sample_evaluator(space, mode, weights, seed=seed)
+    assert ev.table.shape == space.cardinalities
+    for idx in itertools.product(*(range(k) for k in cards)):
+        assert ev.table[idx] == definitional_cr(ev, idx)
+    rows = np.array(list(itertools.product(*(range(k) for k in cards))))
+    assert ev.true_crs(rows).tolist() == [definitional_cr(ev, r) for r in rows.tolist()]
+
+
+def test_true_crs_rejects_rows_outside_the_space():
+    ev = sample_evaluator(SearchSpace([3, 3]), LINEAR, seed=2)
+    for bad in ([[0, -1]], [[3, 0]], [[0, 0, 0]], [0, 0]):
+        with pytest.raises(ValueError):
+            ev.true_crs(bad)
+
+
+def test_interaction_keys_and_shapes_are_checked():
+    kwargs = dict(space=SearchSpace([2, 3]), bias=0.05,
+                  main_effects=((0.0, 0.0), (0.0, 0.0, 0.0)), mode=NONLINEAR)
+    with pytest.raises(ValueError):  # pair not in variable order
+        Evaluator(interactions={(1, 0): ((0.0, 0.0),) * 3}, **kwargs)
+    with pytest.raises(ValueError):  # transposed table
+        Evaluator(interactions={(0, 1): ((0.0, 0.0),) * 3}, **kwargs)
 
 
 def test_linear_separability_against_oracle():

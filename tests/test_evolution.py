@@ -8,7 +8,6 @@ from mvtlab.evaluator import LINEAR, brute_force_best, sample_evaluator
 from mvtlab.evolution import (
     EvolutionConfig,
     beat_control_winner,
-    GenerationRecord,
     crossover,
     init_population,
     mutate,
@@ -46,65 +45,81 @@ def test_init_population_counts():
     assert len(init_population(SearchSpace([2]))) == 1
 
 
-def stats_pop(candidates, stats):
-    return [(c, s) for c, s in zip(candidates, stats)]
+def counts(pairs):
+    """(impressions, conversions) int arrays from (impressions, conversions) pairs."""
+    imp, conv = zip(*pairs)
+    return np.array(imp), np.array(conv)
 
 
 def test_select_elites_count_and_tie_break():
     space = SearchSpace([2, 4, 5, 3])
-    pop = stats_pop(init_population(space), [CandidateStats(100, 5)] * 10)
-    prior = global_prior([s for _, s in pop])
-    elites = select_elites(pop, 0.20, prior)
+    genomes = init_population(space)
+    imp, conv = counts([(100, 5)] * 10)
+    prior = global_prior([CandidateStats(100, 5)] * 10)
+    elites = select_elites(genomes, imp, conv, 0.20, prior)
     assert elites == [0, 1]  # all tied -> earliest indices
 
 
 def test_select_elites_dominant_candidate_first():
     space = SearchSpace([3, 3])
-    cands = init_population(space)
+    genomes = init_population(space)
     stats = [CandidateStats(100, 0)] * 3 + [CandidateStats(100, 100)]
-    pop = stats_pop(cands, stats)
+    imp, conv = counts([(100, 0)] * 3 + [(100, 100)])
     prior = global_prior(stats)
-    assert select_elites(pop, 0.25, prior)[0] == 3
+    assert select_elites(genomes, imp, conv, 0.25, prior)[0] == 3
 
 
 def test_select_elites_requires_impressions():
-    pop = [(Candidate([1]), CandidateStats())]
+    prior = global_prior([CandidateStats(10, 1)])
     with pytest.raises(ValueError):
-        select_elites(pop, 0.5, global_prior([CandidateStats(10, 1)]))
+        select_elites(np.array([[1]]), np.array([0]), np.array([0]), 0.5, prior)
+    empty = np.zeros(0, dtype=int)
     with pytest.raises(ValueError):
-        select_elites([], 0.5, global_prior([CandidateStats(10, 1)]))
+        select_elites(np.zeros((0, 1), dtype=int), empty, empty, 0.5, prior)
 
 
 def test_select_elites_deduplicates_genomes():
-    dup = Candidate([1, 0])
-    pop = [
-        (dup, CandidateStats(100, 50)),
-        (dup, CandidateStats(100, 50)),
-        (Candidate([0, 1]), CandidateStats(100, 10)),
-        (Candidate([1, 1]), CandidateStats(100, 5)),
-    ]
-    prior = global_prior([s for _, s in pop])
-    assert select_elites(pop, 0.5, prior) == [0, 2]
+    genomes = np.array([[1, 0], [1, 0], [0, 1], [1, 1]])
+    pairs = [(100, 50), (100, 50), (100, 10), (100, 5)]
+    imp, conv = counts(pairs)
+    prior = global_prior([CandidateStats(*p) for p in pairs])
+    assert select_elites(genomes, imp, conv, 0.5, prior) == [0, 2]
+
+
+def test_select_elites_matches_posterior_mean_sort():
+    # The array ranking is the per-candidate posterior().mean sort, ties
+    # toward the earlier index, on exactly the same float arithmetic.
+    rng = rng_for(9)
+    for _ in range(200):
+        n = int(rng.integers(1, 30))
+        imp = rng.integers(1, 10**6, size=n)
+        conv = rng.binomial(imp, 0.05)
+        genomes = np.arange(n)[:, None]  # all distinct
+        stats = [CandidateStats(int(a), int(b)) for a, b in zip(imp, conv)]
+        prior = global_prior(stats)
+        expected = sorted(range(n), key=lambda i: (-posterior(stats[i], prior).mean, i))
+        got = select_elites(genomes, imp, conv, 0.999, prior)
+        assert got == expected
 
 
 def test_crossover_closure_and_gene_pool():
     rng = rng_for(0)
-    a, b = Candidate([0, 1, 2, 0]), Candidate([2, 1, 0, 1])
+    a, b = [0, 1, 2, 0], [2, 1, 0, 1]
     assert crossover(a, a, rng) == a
     for _ in range(50):
         child = crossover(a, b, rng)
-        assert all(g in (x, y) for g, x, y in zip(child.choices, a.choices, b.choices))
+        assert all(g in (x, y) for g, x, y in zip(child, a, b))
     with pytest.raises(ValueError):
-        crossover(a, Candidate([0, 1]), rng)
+        crossover(a, [0, 1], rng)
 
 
 def test_crossover_frequency():
     rng = rng_for(314)
-    a, b = Candidate([0, 0, 0, 0]), Candidate([1, 1, 1, 1])
+    a, b = [0, 0, 0, 0], [1, 1, 1, 1]
     from_a = 0
     trials = 10_000
     for _ in range(trials):
-        from_a += sum(g == 0 for g in crossover(a, b, rng).choices)
+        from_a += sum(g == 0 for g in crossover(a, b, rng))
     freq = from_a / (4 * trials)
     assert abs(freq - 0.5) < 0.02
 
@@ -112,65 +127,75 @@ def test_crossover_frequency():
 def test_mutate_edges():
     space = SearchSpace([2, 2, 2])
     rng = rng_for(1)
-    c = Candidate([0, 0, 0])
+    c = [0, 0, 0]
     assert mutate(c, 0.0, space, rng) == c
-    assert mutate(c, 1.0, space, rng) == Candidate([1, 1, 1])
+    assert mutate(c, 1.0, space, rng) == [1, 1, 1]
+    with pytest.raises(ValueError):
+        mutate([0, 0], 0.5, space, rng)
 
 
 def test_mutate_always_changes_hit_gene():
     space = SearchSpace([5])
     rng = rng_for(2)
     for _ in range(200):
-        out = mutate(Candidate([3]), 1.0, space, rng)
-        assert out.choices[0] != 3
-        assert 0 <= out.choices[0] < 5
+        out = mutate([3], 1.0, space, rng)
+        assert out[0] != 3
+        assert 0 <= out[0] < 5
 
 
 def test_mutation_frequency():
     space = SearchSpace([4] * 10)
     rng = rng_for(2718)
-    c = Candidate([0] * 10)
+    c = [0] * 10
     flips = 0
     trials = 100_000  # 10^6 gene draws total
     for _ in range(trials):
-        flips += sum(g != 0 for g in mutate(c, 0.01, space, rng).choices)
+        flips += sum(g != 0 for g in mutate(c, 0.01, space, rng))
     freq = flips / (10 * trials)
     assert abs(freq - 0.01) < 0.001
 
 
 def test_next_generation_structure():
     space = SearchSpace([2, 4, 5, 3])
-    cands = init_population(space)
-    stats = [CandidateStats(100, i) for i in range(10)]
-    record = GenerationRecord(index=0, population=stats_pop(cands, stats))
+    genomes = init_population(space)
+    imp, conv = counts([(100, i) for i in range(10)])
+    prior = global_prior([CandidateStats(100, i) for i in range(10)])
+    elite_idx = select_elites(genomes, imp, conv, EvolutionConfig().elite_fraction, prior)
     rng = rng_for(5)
-    new_pop = next_generation(record, EvolutionConfig(), space, rng)
-    assert len(new_pop) == 10
+    new_genomes, new_imp, new_conv = next_generation(
+        genomes, imp, conv, elite_idx, EvolutionConfig(), space, rng
+    )
+    assert len(new_genomes) == len(new_imp) == len(new_conv) == 10
     # Elites (the two highest conversion counts: indices 9 and 8) pass
     # through unchanged with their accumulated stats.
-    assert new_pop[0] == (cands[9], stats[9])
-    assert new_pop[1] == (cands[8], stats[8])
-    for cand, fresh in new_pop[2:]:
-        cand.validate(space)
-        assert fresh == CandidateStats()
+    assert new_genomes[0].tolist() == genomes[9].tolist()
+    assert new_genomes[1].tolist() == genomes[8].tolist()
+    assert (new_imp[0], new_conv[0]) == (100, 9)
+    assert (new_imp[1], new_conv[1]) == (100, 8)
+    for genome, n, c in zip(new_genomes[2:], new_imp[2:], new_conv[2:]):
+        Candidate(genome).validate(space)
+        assert (n, c) == (0, 0)
+
+
+def test_next_generation_requires_elites():
+    space = SearchSpace([2, 2])
+    genomes = init_population(space)
+    imp, conv = counts([(100, 1), (100, 2)])
+    with pytest.raises(ValueError):
+        next_generation(genomes, imp, conv, [], EvolutionConfig(), space, rng_for(0))
 
 
 def test_next_generation_single_elite_no_mutation():
     space = SearchSpace([2, 2])
-    elite = Candidate([1, 1])
-    pop = [
-        (elite, CandidateStats(100, 90)),
-        (Candidate([0, 1]), CandidateStats(100, 1)),
-        (Candidate([1, 0]), CandidateStats(100, 1)),
-    ]
-    record = GenerationRecord(index=0, population=pop)
+    genomes = np.array([[1, 1], [0, 1], [1, 0]])
+    imp, conv = counts([(100, 90), (100, 1), (100, 1)])
     cfg = EvolutionConfig(mutation_rate=0.0)
-    new_pop = next_generation(record, cfg, space, rng_for(3))
-    assert new_pop[0][0] == elite
+    new_genomes, _, _ = next_generation(genomes, imp, conv, [0], cfg, space, rng_for(3))
+    assert new_genomes[0].tolist() == [1, 1]
     # Crossover of the lone elite with itself reproduces it; duplicates are
     # pushed to untested neighbors, so children differ from the elite.
-    children = [c.choices for c, _ in new_pop[1:]]
-    assert elite.choices not in children
+    children = [tuple(g) for g in new_genomes[1:].tolist()]
+    assert (1, 1) not in children
     assert len(set(children)) == len(children)
 
 
@@ -184,18 +209,34 @@ def run_once(space, seed, total=100_000, cfg=None):
 
 def test_run_evolution_structure():
     space = SearchSpace([3, 3, 3, 3])
-    _, result = run_once(space, 0)
+    ev, result = run_once(space, 0)
     assert len(result.records) == 8
     for record in result.records:
-        assert len(record.population) == 8
-        for cand, stats in record.population:
-            cand.validate(space)
-            assert stats.impressions > 0
-    # elites of generation g appear unchanged in generation g+1
+        assert record.genomes.shape == (8, 4)
+        assert len(record.impressions) == len(record.conversions) == 8
+        for genome, n, c, cr in zip(
+            record.genomes.tolist(), record.impressions, record.conversions, record.true_crs
+        ):
+            Candidate(genome).validate(space)
+            assert n > 0 and 0 <= c <= n
+            assert cr == ev.true_cr(Candidate(genome))
+    # elites of generation g appear unchanged in generation g+1, with the
+    # statistics they had accumulated
     for prev, nxt in zip(result.records, result.records[1:]):
-        elites = [prev.population[i][0] for i in prev.elite_indices]
-        carried = [c for c, _ in nxt.population[: len(elites)]]
-        assert carried == elites
+        k = len(prev.elite_indices)
+        assert nxt.genomes[:k].tolist() == prev.genomes[prev.elite_indices].tolist()
+        assert (nxt.impressions[:k] > prev.impressions[prev.elite_indices]).all()
+        assert (nxt.conversions[:k] >= prev.conversions[prev.elite_indices]).all()
+
+
+def test_run_evolution_tested_totals_match_plan():
+    space = SearchSpace([3, 6, 2])
+    _, result = run_once(space, 3, total=50_000)
+    assert sum(s.impressions for s in result.tested.values()) == 50_000
+    last = result.records[-1]
+    for genome, n, c in zip(last.genomes.tolist(), last.impressions, last.conversions):
+        stats = result.tested[tuple(genome)]
+        assert stats.impressions >= n and stats.conversions >= c
 
 
 def test_run_evolution_determinism():
@@ -208,7 +249,9 @@ def test_run_evolution_determinism():
     assert r1.winner == r2.winner
     assert r1.winner_pbc == r2.winner_pbc
     for a, b in zip(r1.records, r2.records):
-        assert a.population == b.population
+        assert a.genomes.tolist() == b.genomes.tolist()
+        assert a.impressions.tolist() == b.impressions.tolist()
+        assert a.conversions.tolist() == b.conversions.tolist()
         assert a.elite_indices == b.elite_indices
 
 
@@ -241,7 +284,7 @@ def test_winner_not_worse_than_initial_generation():
     ok = 0
     for rep in range(20):
         ev, result = run_once(space, rep + 500, total=1_000_000)
-        best_initial = max(ev.true_cr(c) for c in init_population(space))
+        best_initial = max(ev.true_crs(init_population(space)))
         if ev.true_cr(result.winner) >= best_initial:
             ok += 1
     assert ok >= 18

@@ -10,7 +10,8 @@ import pytest
 import scipy
 
 from mvtlab.cli import main as cli_main
-from mvtlab.evaluator import LINEAR, brute_force_best, sample_evaluator
+from mvtlab.evaluator import LINEAR, EvaluatorConfigError, brute_force_best, sample_evaluator
+from mvtlab.evolution import EvolutionConfig
 from mvtlab.genome import SearchSpace
 from mvtlab.harness import (
     DEFAULT_TRAFFIC_SWEEP,
@@ -64,8 +65,32 @@ def test_config_validation():
         replace(PRESETS["setting2-linear"], repetitions=1)
     with pytest.raises(ValueError):
         replace(PRESETS["setting2-linear"], curve="sideways")
+    with pytest.raises(ValueError):
+        replace(PRESETS["setting2-linear"], mode="nonlinearr")
+    with pytest.raises(ValueError):
+        replace(PRESETS["setting2-linear"], traffic=())
+    with pytest.raises(ValueError):  # 8 generations x 8 candidates = 64
+        replace(PRESETS["setting2-linear"], traffic=(63, 1000))
+    with pytest.raises(EvaluatorConfigError):  # 10^8-cell landscape
+        replace(PRESETS["setting2-linear"], space=SearchSpace([10] * 8))
     with pytest.raises(KeyError):
         get_preset("no-such-preset")
+
+
+def test_config_design_checks():
+    # The array must match the space and fit in the smallest traffic level;
+    # both are checked when the design is loaded, before any cell runs.
+    mismatch = replace(PRESETS["setting2-linear"], array_name="oa4_2x3")
+    with pytest.raises(ValueError, match="do not match"):
+        mismatch.load_design()
+    with pytest.raises(ValueError, match="do not match"):
+        run_comparison(mismatch)
+    few = replace(
+        PRESETS["setting1-linear"], evolution=EvolutionConfig(generations=1), traffic=(3, 10)
+    )
+    with pytest.raises(ValueError, match="4 rows"):
+        few.load_design()
+    assert replace(few, traffic=(4, 10)).load_design().n_rows == 4
 
 
 def test_taguchi_arm_array_space_mismatch():
@@ -205,6 +230,13 @@ def test_parse_config_errors():
         with pytest.raises(ValueError):
             parse_config(f"space = [2,2]\nfixed_evaluator = {flag}")
     assert parse_config("space = [2,2]\nfixed_evaluator = False").fixed_evaluator is False
+    for traffic in ("lots", "1e4", "[1000, 'x']", "True", "{1000: 1}"):
+        with pytest.raises(ValueError):
+            parse_config(f"space = [2,2]\ntraffic = {traffic}")
+    assert parse_config("space = [2,2]\ntraffic = 1000").traffic == (1000,)
+    assert parse_config("space = [2,2]\ntraffic = [1000, 2000]").traffic == (1000, 2000)
+    with pytest.raises(ValueError):
+        parse_config("space = [2,2]\nmode = nonlinearr")
 
 
 def test_cli_run_preset(tmp_path, capsys):
@@ -227,6 +259,10 @@ def test_cli_run_config_file(tmp_path):
     rc = cli_main(["run", str(cfg), "--out", str(tmp_path)])
     assert rc == 0
     assert (tmp_path / "exp.csv").exists()
+    # a single traffic level may be written as a bare int
+    cfg.write_text("space = [2, 2, 2]\narray = oa4_2x3\ntraffic = 2000\nrepetitions = 2\n")
+    assert cli_main(["run", str(cfg), "--out", str(tmp_path / "scalar")]) == 0
+    assert (tmp_path / "scalar" / "exp.csv").read_bytes() == (tmp_path / "exp.csv").read_bytes()
 
 
 def test_cli_run_unknown_target():
@@ -234,15 +270,25 @@ def test_cli_run_unknown_target():
 
 
 def test_cli_run_config_errors_are_one_line(tmp_path, capsys):
-    bad_flag = tmp_path / "bad.cfg"
-    bad_flag.write_text("space = [2, 2, 2]\narray = oa4_2x3\nfixed_evaluator = no\n")
-    for argv in (
-        ["run", "setting1-linear", "--reps", "1", "--out", str(tmp_path)],
-        ["run", str(bad_flag), "--out", str(tmp_path)],
-    ):
+    bad_configs = {
+        "flag": "space = [2, 2, 2]\narray = oa4_2x3\nfixed_evaluator = no\n",
+        "traffic": "space = [2, 2, 2]\narray = oa4_2x3\ntraffic = 'lots'\n",
+        "mode": "space = [2, 2, 2]\narray = oa4_2x3\nmode = nonlinearr\n",
+        "small": "space = [3, 3, 3, 3]\narray = oa9_3x4\ntraffic = (50, 1000)\n",
+        "rows": "space = [2, 2, 2]\narray = oa4_2x3\ngenerations = 1\ntraffic = 3\n",
+        "levels": "space = [3, 3, 3, 3]\narray = oa4_2x3\n",
+        "cap": "space = [10, 10, 10, 10, 10, 10, 10, 10]\narray = oa4_2x3\n",
+        "missing": "space = [2, 2, 2]\narray = no/such/array.txt\n",
+    }
+    argvs = [["run", "setting1-linear", "--reps", "1", "--out", str(tmp_path)]]
+    for name, text in bad_configs.items():
+        path = tmp_path / f"{name}.cfg"
+        path.write_text(text)
+        argvs.append(["run", str(path), "--out", str(tmp_path)])
+    for argv in argvs:
         assert cli_main(argv) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
     assert not list(tmp_path.glob("*.csv"))
 
 
@@ -258,6 +304,11 @@ def test_cli_validate_array(tmp_path, capsys):
     assert cli_main(["validate-array", str(bad)]) == 1
     out = capsys.readouterr().out
     assert "FAIL" in out
+
+    rowless = tmp_path / "rowless.txt"
+    rowless.write_text("2 2\n")
+    assert cli_main(["validate-array", str(rowless)]) == 2
+    assert capsys.readouterr().err.startswith("parse error: ")
 
 
 def test_cli_list_presets(capsys):

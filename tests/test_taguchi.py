@@ -14,6 +14,7 @@ from mvtlab.taguchi import (
     load_bundled_array,
     main_effect,
     merge_columns,
+    parse_array,
     predict_best,
     save_array,
     validate,
@@ -51,6 +52,8 @@ def test_load_rejects_broken_balance(nine_row):
     text = save_array(OrthogonalArray(column_levels=(3, 3, 3, 3), rows=tuple(rows)))
     with pytest.raises(ArrayValidationError, match="balance"):
         load_array(text)
+    # parse_array checks the format only, so the broken design still parses
+    assert parse_array(text).rows == tuple(rows)
 
 
 def test_load_rejects_garbage():
@@ -60,6 +63,8 @@ def test_load_rejects_garbage():
         load_array("2 2\n0 x\n")
     with pytest.raises(ArrayFormatError):
         load_array("2 2\n0\n")
+    with pytest.raises(ArrayFormatError):
+        parse_array("2 2\n")  # levels but no rows
 
 
 def test_bundled_arrays_validate():
