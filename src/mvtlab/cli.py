@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
-from .harness import PRESETS, parse_config, run_experiment
+from .harness import PRESETS, configure, parse_config, run_experiment
 from .taguchi import parse_array, validate
 
 
@@ -38,25 +37,20 @@ def _run_config(args):
     command-line overrides applied and its array loaded and checked;
     ValueError (or OSError, for an unreadable file) for any invalid
     setting."""
+    overrides = {
+        key: getattr(args, key)
+        for key in ("seed", "repetitions", "traffic", "fixed_evaluator", "out")
+        if getattr(args, key) is not None
+    }
+    if args.traffic is not None:
+        overrides["traffic"] = _parse_traffic(args.traffic)
     if args.target in PRESETS:
-        config = PRESETS[args.target]
+        config = configure(overrides, PRESETS[args.target])
     else:
         path = Path(args.target)
         if not path.exists():
             raise ValueError(f"{args.target!r} is neither a preset nor a config file")
-        config = parse_config(path.read_text(), name=path.stem)
-    overrides = {}
-    if args.seed is not None:
-        overrides["master_seed"] = args.seed
-    if args.reps is not None:
-        overrides["repetitions"] = args.reps
-    if args.traffic is not None:
-        overrides["traffic"] = _parse_traffic(args.traffic)
-    if args.fixed_evaluator:
-        overrides["fixed_evaluator"] = True
-    if args.out is not None:
-        overrides["out_dir"] = args.out
-    config = replace(config, **overrides)
+        config = parse_config(path.read_text(), name=path.stem, overrides=overrides)
     config.load_design()
     return config
 
@@ -89,7 +83,7 @@ def cmd_list_presets(_args) -> int:
     for name, cfg in PRESETS.items():
         print(
             f"{name}: space {list(cfg.space.cardinalities)}, mode {cfg.mode}, "
-            f"array {cfg.array_name}, curve {cfg.curve}"
+            f"array {cfg.array}, curve {cfg.curve}"
         )
     return 0
 
@@ -100,11 +94,12 @@ def main(argv=None) -> int:
 
     run_p = sub.add_parser("run", help="run a preset or config-file experiment")
     run_p.add_argument("target", help="preset name or path to a config file")
-    run_p.add_argument("--seed", type=int, default=None)
-    run_p.add_argument("--reps", type=int, default=None)
-    run_p.add_argument("--traffic", type=str, default=None, help="comma-separated totals")
-    run_p.add_argument("--fixed-evaluator", action="store_true")
-    run_p.add_argument("--out", type=str, default=None)
+    # Each dest is a config key (see harness.parse_config).
+    run_p.add_argument("--seed", type=int)
+    run_p.add_argument("--reps", type=int, dest="repetitions", metavar="REPS")
+    run_p.add_argument("--traffic", help="comma-separated totals")
+    run_p.add_argument("--fixed-evaluator", action="store_const", const=True)
+    run_p.add_argument("--out")
     run_p.set_defaults(func=cmd_run)
 
     val_p = sub.add_parser("validate-array", help="validate an orthogonal array file")

@@ -10,7 +10,6 @@ population is one index operation.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,6 +47,26 @@ def check_landscape_size(space: SearchSpace) -> None:
         raise EvaluatorConfigError(
             f"space of {space.total_combinations} candidates exceeds the "
             f"landscape cap of {LANDSCAPE_CAP} cells"
+        )
+
+
+def check_weights(space: SearchSpace, mode: str, weights: WeightConfig) -> None:
+    """Reject weight magnitudes that cannot produce a sane landscape over
+    `space` in `mode`."""
+    if not 0.0 < weights.bias < 1.0:
+        raise EvaluatorConfigError(f"bias must lie in (0, 1), got {weights.bias}")
+    if weights.delta_main <= 0:
+        raise EvaluatorConfigError("delta_main must be positive")
+    if weights.delta_pair < 0:
+        raise EvaluatorConfigError("delta_pair must be non-negative")
+    n = len(space)
+    n_pairs = n * (n - 1) // 2 if mode == NONLINEAR else 0
+    worst = n * weights.delta_main + n_pairs * weights.delta_pair
+    # Clamping absorbs rare extremes, but a half-range sum spanning the whole
+    # probability interval would make the clamp the landscape.
+    if worst >= 1.0:
+        raise EvaluatorConfigError(
+            f"worst-case weight sum {worst:.3f} exceeds the unit interval"
         )
 
 
@@ -122,34 +141,6 @@ class Evaluator:
             raise ValueError("genome value out of range for this space")
         return self.table[tuple(rows.T)]
 
-    def to_json(self) -> str:
-        doc = {
-            "space": list(self.space.cardinalities),
-            "bias": self.bias,
-            "mode": self.mode,
-            "main_effects": [list(t) for t in self.main_effects],
-            "interactions": {
-                f"{j},{k}": [list(row) for row in table]
-                for (j, k), table in sorted(self.interactions.items())
-            },
-        }
-        return json.dumps(doc, indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "Evaluator":
-        doc = json.loads(text)
-        interactions = {}
-        for key, table in doc.get("interactions", {}).items():
-            j, k = (int(s) for s in key.split(","))
-            interactions[(j, k)] = tuple(tuple(row) for row in table)
-        return cls(
-            space=SearchSpace(doc["space"]),
-            bias=doc["bias"],
-            main_effects=tuple(tuple(t) for t in doc["main_effects"]),
-            interactions=interactions,
-            mode=doc["mode"],
-        )
-
 
 def sample_evaluator(
     space: SearchSpace,
@@ -161,21 +152,8 @@ def sample_evaluator(
     [-delta_main, +delta_main], non-control pair entries (nonlinear mode)
     uniform in [-delta_pair, +delta_pair]. Deterministic given the seed."""
     mag = magnitudes or WeightConfig()
-    if not 0.0 < mag.bias < 1.0:
-        raise EvaluatorConfigError(f"bias must lie in (0, 1), got {mag.bias}")
-    if mag.delta_main <= 0:
-        raise EvaluatorConfigError("delta_main must be positive")
-    if mag.delta_pair < 0:
-        raise EvaluatorConfigError("delta_pair must be non-negative")
+    check_weights(space, mode, mag)
     n = len(space)
-    n_pairs = n * (n - 1) // 2 if mode == NONLINEAR else 0
-    worst = n * mag.delta_main + n_pairs * mag.delta_pair
-    # Clamping absorbs rare extremes, but a half-range sum spanning the whole
-    # probability interval would make the clamp the landscape.
-    if worst >= 1.0:
-        raise EvaluatorConfigError(
-            f"worst-case weight sum {worst:.3f} exceeds the unit interval"
-        )
 
     rng = np.random.Generator(np.random.PCG64(seed))
     main = []

@@ -18,7 +18,6 @@ import numpy as np
 from .evaluator import Evaluator
 from .genome import Candidate, SearchSpace, control, one_gene_variants
 from .simstats import (
-    DEFAULT_PRIOR_STRENGTH,
     PBC_TOL,
     BetaPosterior,
     CandidateStats,
@@ -34,7 +33,6 @@ class EvolutionConfig:
     generations: int = 8
     mutation_rate: float = 0.01
     elite_fraction: float = 0.20
-    seed: int = 0
 
     def __post_init__(self):
         if self.generations < 1:
@@ -165,10 +163,7 @@ def next_generation(
 
 
 def beat_control_winner(
-    tested: dict,
-    ctrl: Candidate,
-    ctrl_stats: CandidateStats,
-    prior_strength: float = DEFAULT_PRIOR_STRENGTH,
+    tested: dict, ctrl: Candidate, ctrl_stats: CandidateStats
 ) -> tuple[Candidate, float]:
     """The tested genome with the highest probability to beat control, and
     that probability, under posteriors smoothed by the pooled prior.
@@ -179,7 +174,7 @@ def beat_control_winner(
     to, so clear winners near 1.0 tie whatever the quadrature's rounding;
     posterior mean breaks those ties, and the earlier entry wins a full tie.
     """
-    prior = global_prior([*tested.values(), ctrl_stats], strength=prior_strength)
+    prior = global_prior([*tested.values(), ctrl_stats])
     ctrl_post = posterior(ctrl_stats, prior)
     imp = np.array([s.impressions for s in tested.values()], dtype=np.int64)
     conv = np.array([s.conversions for s in tested.values()], dtype=np.int64)
@@ -203,28 +198,26 @@ class EvolutionResult:
 
 
 def run_evolution(
-    space: SearchSpace,
     evaluator: Evaluator,
     traffic_plan: list[list[int]],
     config: EvolutionConfig,
-    rng: np.random.Generator | None = None,
-    prior_strength: float = DEFAULT_PRIOR_STRENGTH,
+    rng: np.random.Generator,
 ) -> EvolutionResult:
-    """Run the full generational loop against a ground-truth evaluator.
+    """Run the full generational loop against a ground-truth evaluator, over
+    the evaluator's space.
 
     traffic_plan[g][slot] gives the impressions served to each population
     slot in generation g. The control candidate additionally receives one
     slot's worth of impressions per generation, tracked separately and used
     only for the beat-control winner selection.
     """
-    if rng is None:
-        rng = np.random.Generator(np.random.PCG64(config.seed))
     if len(traffic_plan) != config.generations:
         raise ValueError(
             f"traffic plan covers {len(traffic_plan)} generations, "
             f"config asks for {config.generations}"
         )
 
+    space = evaluator.space
     ctrl = control(space)
     genomes = init_population(space)
     pop_size = len(genomes)
@@ -260,7 +253,7 @@ def run_evolution(
 
         # The pooled prior depends only on the population's totals.
         pooled = CandidateStats(int(impressions.sum()), int(conversions.sum()))
-        prior = global_prior([pooled], strength=prior_strength)
+        prior = global_prior([pooled])
         elite_idx = select_elites(
             genomes, impressions, conversions, config.elite_fraction, prior
         )
@@ -274,7 +267,7 @@ def run_evolution(
 
     tested_stats = {genome: CandidateStats(*counts) for genome, counts in tested.items()}
     ctrl_stats = CandidateStats(int(served[:, -1].sum()), ctrl_conv)
-    winner, winner_pbc = beat_control_winner(tested_stats, ctrl, ctrl_stats, prior_strength)
+    winner, winner_pbc = beat_control_winner(tested_stats, ctrl, ctrl_stats)
     return EvolutionResult(
         records=tuple(records),
         winner=winner,

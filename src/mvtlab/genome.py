@@ -1,7 +1,6 @@
 """Search space and candidate representation shared by both optimizers.
 
-A candidate is one value choice per variable; the wire encoding is a
-concatenation of one-hot vectors, one segment per variable.
+A candidate is one value choice per variable.
 """
 
 from __future__ import annotations
@@ -31,10 +30,6 @@ class SearchSpace:
     def total_combinations(self) -> int:
         return math.prod(self.cardinalities)
 
-    @property
-    def one_hot_length(self) -> int:
-        return sum(self.cardinalities)
-
 
 @dataclass(frozen=True)
 class Candidate:
@@ -62,36 +57,6 @@ class Candidate:
 def control(space: SearchSpace) -> Candidate:
     """The default configuration: first value of every variable."""
     return Candidate((0,) * len(space))
-
-
-def to_one_hot(c: Candidate, space: SearchSpace) -> tuple[int, ...]:
-    """Concatenated one-hot encoding, one segment per variable."""
-    c.validate(space)
-    bits = []
-    for v, k in zip(c.choices, space.cardinalities):
-        seg = [0] * k
-        seg[v] = 1
-        bits.extend(seg)
-    return tuple(bits)
-
-
-def from_one_hot(bits, space: SearchSpace) -> Candidate:
-    """Inverse of to_one_hot; rejects segments without exactly one 1."""
-    bits = tuple(int(b) for b in bits)
-    if len(bits) != space.one_hot_length:
-        raise ValueError(
-            f"encoding length {len(bits)} != {space.one_hot_length} for this space"
-        )
-    choices = []
-    offset = 0
-    for i, k in enumerate(space.cardinalities):
-        seg = bits[offset : offset + k]
-        ones = [j for j, b in enumerate(seg) if b == 1]
-        if len(ones) != 1 or any(b not in (0, 1) for b in seg):
-            raise ValueError(f"segment for variable {i} is not one-hot: {seg}")
-        choices.append(ones[0])
-        offset += k
-    return Candidate(choices)
 
 
 def one_gene_variants(space: SearchSpace) -> list[Candidate]:

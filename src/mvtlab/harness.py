@@ -7,7 +7,7 @@ import ast
 import hashlib
 import json
 import xml.sax.saxutils as saxutils
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
 
@@ -20,6 +20,7 @@ from .evaluator import (
     Evaluator,
     WeightConfig,
     check_landscape_size,
+    check_weights,
     sample_evaluator,
 )
 from .evolution import EvolutionConfig, run_evolution
@@ -33,9 +34,6 @@ from .taguchi import (
     predict_best,
 )
 
-COMPARISON_METHODS = ("evolution", "taguchi-predict", "taguchi-candidate")
-DURING_METHODS = ("evolution", "taguchi")
-
 DEFAULT_TRAFFIC_SWEEP = (
     1_000, 3_000, 10_000, 30_000, 100_000, 300_000, 1_000_000, 3_000_000, 10_000_000
 )
@@ -47,8 +45,7 @@ class ExperimentConfig:
     space: SearchSpace
     mode: str = LINEAR
     weights: WeightConfig = field(default_factory=WeightConfig)
-    array_name: str | None = None
-    array_path: str | None = None
+    array: str | None = None  # a file path if it ends in .txt, else a bundled name
     evolution: EvolutionConfig = field(default_factory=EvolutionConfig)
     traffic: tuple[int, ...] = DEFAULT_TRAFFIC_SWEEP
     repetitions: int = 20
@@ -63,6 +60,8 @@ class ExperimentConfig:
         # aggregate_runs, for one, needs two values per traffic level.
         if self.repetitions < 2:
             raise ValueError(f"need at least two repetitions, got {self.repetitions}")
+        if self.master_seed < 0:  # SeedSequence rejects negative entropy
+            raise ValueError(f"seed must be non-negative, got {self.master_seed}")
         if not self.traffic:
             raise ValueError("traffic sweep needs at least one level")
         if list(self.traffic) != sorted(set(self.traffic)):
@@ -72,6 +71,7 @@ class ExperimentConfig:
         if self.mode not in (LINEAR, NONLINEAR):
             raise ValueError(f"unknown mode {self.mode!r}; use {LINEAR} or {NONLINEAR}")
         check_landscape_size(self.space)
+        check_weights(self.space, self.mode, self.weights)
         pop_size = sum(k - 1 for k in self.space.cardinalities)
         need = self.evolution.generations * pop_size
         if self.traffic[0] < need:
@@ -87,12 +87,12 @@ class ExperimentConfig:
 
     @cached_property
     def _design(self) -> OrthogonalArray:
-        if self.array_path:
-            array = load_array_file(self.array_path)
-        elif self.array_name:
-            array = load_bundled_array(self.array_name)
-        else:
+        if self.array is None:
             raise ValueError("config names no orthogonal array")
+        if self.array.endswith(".txt"):
+            array = load_array_file(self.array)
+        else:
+            array = load_bundled_array(self.array)
         if array.column_levels != self.space.cardinalities:
             raise ValueError(
                 f"array levels {list(array.column_levels)} do not match "
@@ -123,29 +123,29 @@ class ResultSeries:
 
 PRESETS: dict[str, ExperimentConfig] = {
     "setting1-linear": ExperimentConfig(
-        name="setting1-linear", space=SearchSpace([2, 2, 2]), array_name="oa4_2x3"
+        name="setting1-linear", space=SearchSpace([2, 2, 2]), array="oa4_2x3"
     ),
     "setting2-linear": ExperimentConfig(
-        name="setting2-linear", space=SearchSpace([3, 3, 3, 3]), array_name="oa9_3x4"
+        name="setting2-linear", space=SearchSpace([3, 3, 3, 3]), array="oa9_3x4"
     ),
     "setting3-linear": ExperimentConfig(
-        name="setting3-linear", space=SearchSpace([4, 4, 4, 4, 4]), array_name="oa16_4x5"
+        name="setting3-linear", space=SearchSpace([4, 4, 4, 4, 4]), array="oa16_4x5"
     ),
     "mixed-linear": ExperimentConfig(
         name="mixed-linear",
         space=SearchSpace([3, 6, 2, 3, 6, 2, 2, 6]),
-        array_name="oa36_mixed",
+        array="oa36_mixed",
     ),
     "mixed-nonlinear": ExperimentConfig(
         name="mixed-nonlinear",
         space=SearchSpace([3, 6, 2, 3, 6, 2, 2, 6]),
-        array_name="oa36_mixed",
+        array="oa36_mixed",
         mode=NONLINEAR,
     ),
     "during-experiment": ExperimentConfig(
         name="during-experiment",
         space=SearchSpace([3, 6, 2, 3, 6, 2, 2, 6]),
-        array_name="oa36_mixed",
+        array="oa36_mixed",
         curve="during",
     ),
 }
@@ -208,7 +208,7 @@ def run_evolution_arm(
 ) -> EvolutionArmResult:
     pop_size = sum(k - 1 for k in config.space.cardinalities)
     plan = allocate_evolution(total_traffic, config.evolution.generations, pop_size)
-    result = run_evolution(config.space, evaluator, plan, config.evolution, rng)
+    result = run_evolution(evaluator, plan, config.evolution, rng)
     served = 0.0
     for record, slots in zip(result.records, plan):
         for impressions, cr in zip(slots, record.true_crs.tolist()):
@@ -365,23 +365,9 @@ def emit_svg(series: ResultSeries, path, title: str = "") -> None:
 
 
 def config_digest(config: ExperimentConfig) -> str:
-    doc = {
-        "name": config.name,
-        "space": list(config.space.cardinalities),
-        "mode": config.mode,
-        "weights": [config.weights.bias, config.weights.delta_main, config.weights.delta_pair],
-        "array": config.array_name or config.array_path,
-        "evolution": [
-            config.evolution.generations,
-            config.evolution.mutation_rate,
-            config.evolution.elite_fraction,
-        ],
-        "traffic": list(config.traffic),
-        "repetitions": config.repetitions,
-        "master_seed": config.master_seed,
-        "fixed_evaluator": config.fixed_evaluator,
-        "curve": config.curve,
-    }
+    """sha256 of every setting the results depend on: all fields but out_dir."""
+    doc = asdict(config)
+    del doc["out_dir"]
     return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
 
 
@@ -418,17 +404,101 @@ def run_experiment(config: ExperimentConfig) -> dict:
     return {"csv": csv_path, "svg": svg_path, "manifest": manifest_path, "series": series}
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _text(key, value):
+    if not isinstance(value, str):
+        raise ValueError(f"{key} must be a string, got {value!r}")
+    return value
+
+
+def _int(key, value):
+    if not _is_int(value):
+        raise ValueError(f"{key} must be an int, got {value!r}")
+    return value
+
+
+def _number(key, value):
+    if not (_is_int(value) or isinstance(value, float)):
+        raise ValueError(f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
+def _flag(key, value):
+    if not isinstance(value, bool):
+        raise ValueError(f"{key} must be True or False, got {value!r}")
+    return value
+
+
+def _space(key, value):
+    if not isinstance(value, (list, tuple)) or not all(map(_is_int, value)):
+        raise ValueError(f"{key} must be a list of ints, got {value!r}")
+    return SearchSpace(value)
+
+
+def _traffic(key, value):
+    levels = (value,) if _is_int(value) else value
+    if not isinstance(levels, (list, tuple)) or not all(map(_is_int, levels)):
+        raise ValueError(f"{key} must be an int or a list of ints, got {value!r}")
+    return tuple(levels)
+
+
+# Config key -> (sub-config holding the field, or None for a field of
+# ExperimentConfig; field name; value check). Config files and the command
+# line's overrides both go through this table; the defaults are the
+# dataclasses'.
 _CONFIG_KEYS = {
-    "space", "mode", "bias", "delta_main", "delta_pair", "array",
-    "generations", "mutation_rate", "elite_fraction",
-    "traffic", "repetitions", "seed", "fixed_evaluator", "curve", "out", "name",
+    "name": (None, "name", _text),
+    "space": (None, "space", _space),
+    "mode": (None, "mode", _text),
+    "bias": ("weights", "bias", _number),
+    "delta_main": ("weights", "delta_main", _number),
+    "delta_pair": ("weights", "delta_pair", _number),
+    "array": (None, "array", _text),
+    "generations": ("evolution", "generations", _int),
+    "mutation_rate": ("evolution", "mutation_rate", _number),
+    "elite_fraction": ("evolution", "elite_fraction", _number),
+    "traffic": (None, "traffic", _traffic),
+    "repetitions": (None, "repetitions", _int),
+    "seed": (None, "master_seed", _int),
+    "fixed_evaluator": (None, "fixed_evaluator", _flag),
+    "curve": (None, "curve", _text),
+    "out": (None, "out_dir", _text),
 }
 
 
-def parse_config(text: str, name: str = "custom") -> ExperimentConfig:
+def configure(values: dict, base: ExperimentConfig | None = None) -> ExperimentConfig:
+    """The config that `values` (config keys to values) make of `base`, or
+    of the dataclass defaults when there is no base; ValueError for a value
+    of the wrong type or an invalid setting."""
+    fields: dict = {}
+    nested: dict = {"weights": {}, "evolution": {}}
+    for key, value in values.items():
+        group, name, check = _CONFIG_KEYS[key]
+        (nested[group] if group else fields)[name] = check(key, value)
+    if base is None:
+        if "space" not in fields:
+            raise ValueError("config must define a space")
+        return ExperimentConfig(
+            weights=WeightConfig(**nested["weights"]),
+            evolution=EvolutionConfig(**nested["evolution"]),
+            **fields,
+        )
+    return replace(
+        base,
+        weights=replace(base.weights, **nested["weights"]),
+        evolution=replace(base.evolution, **nested["evolution"]),
+        **fields,
+    )
+
+
+def parse_config(text: str, name: str = "custom", overrides=None) -> ExperimentConfig:
     """Parse a declarative key = value config file; values use Python
-    literal syntax, e.g. `space = [3, 6, 2, 3, 6, 2, 2, 6]`."""
-    values = {}
+    literal syntax, e.g. `space = [3, 6, 2, 3, 6, 2, 2, 6]`. `overrides`
+    (config keys to values) take precedence over the file's lines."""
+    values = {"name": name}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -443,53 +513,5 @@ def parse_config(text: str, name: str = "custom") -> ExperimentConfig:
             values[key] = ast.literal_eval(rhs.strip())
         except (ValueError, SyntaxError):
             values[key] = rhs.strip()  # bare strings (array names, modes)
-    if "space" not in values:
-        raise ValueError("config must define a space")
-    fixed_evaluator = values.get("fixed_evaluator", False)
-    if not isinstance(fixed_evaluator, bool):
-        raise ValueError(
-            f"fixed_evaluator must be True or False, got {fixed_evaluator!r}"
-        )
-    weights = WeightConfig(
-        bias=values.get("bias", WeightConfig.bias),
-        delta_main=values.get("delta_main", WeightConfig.delta_main),
-        delta_pair=values.get("delta_pair", WeightConfig.delta_pair),
-    )
-    evo = EvolutionConfig(
-        generations=values.get("generations", 8),
-        mutation_rate=values.get("mutation_rate", 0.01),
-        elite_fraction=values.get("elite_fraction", 0.20),
-    )
-    array = values.get("array")
-    bundled = array is not None and not str(array).endswith(".txt")
-    return ExperimentConfig(
-        name=str(values.get("name", name)),
-        space=SearchSpace(values["space"]),
-        mode=str(values.get("mode", LINEAR)),
-        weights=weights,
-        array_name=str(array) if bundled else None,
-        array_path=None if bundled or array is None else str(array),
-        evolution=evo,
-        traffic=_traffic_levels(values.get("traffic", DEFAULT_TRAFFIC_SWEEP)),
-        repetitions=int(values.get("repetitions", 20)),
-        master_seed=int(values.get("seed", 2024)),
-        fixed_evaluator=fixed_evaluator,
-        curve=str(values.get("curve", "comparison")),
-        out_dir=str(values.get("out", "out")),
-    )
-
-
-def _traffic_levels(value) -> tuple[int, ...]:
-    """A config file's traffic: one int or a sequence of ints."""
-    levels = (value,) if isinstance(value, int) else value
-    if not isinstance(levels, (list, tuple)) or not all(
-        isinstance(t, int) and not isinstance(t, bool) for t in levels
-    ):
-        raise ValueError(f"traffic must be an int or a list of ints, got {value!r}")
-    return tuple(levels)
-
-
-def get_preset(name: str, **overrides) -> ExperimentConfig:
-    if name not in PRESETS:
-        raise KeyError(f"unknown preset {name!r}; known: {sorted(PRESETS)}")
-    return replace(PRESETS[name], **overrides)
+    values.update(overrides or {})
+    return configure(values)

@@ -28,16 +28,6 @@ class CandidateStats:
                 f"conversions {self.conversions} outside [0, {self.impressions}]"
             )
 
-    def __add__(self, other: "CandidateStats") -> "CandidateStats":
-        return CandidateStats(
-            self.impressions + other.impressions,
-            self.conversions + other.conversions,
-        )
-
-    @property
-    def observed_rate(self) -> float:
-        return self.conversions / self.impressions if self.impressions else 0.0
-
 
 @dataclass(frozen=True)
 class BetaPosterior:

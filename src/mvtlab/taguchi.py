@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .genome import Candidate, SearchSpace
+from .genome import Candidate
 
 ORTHO_TOL = 1e-9
 
@@ -38,9 +38,6 @@ class OrthogonalArray:
     @property
     def n_columns(self) -> int:
         return len(self.column_levels)
-
-    def space(self) -> SearchSpace:
-        return SearchSpace(self.column_levels)
 
     def row_candidate(self, index: int) -> Candidate:
         return Candidate(self.rows[index])
@@ -164,14 +161,6 @@ def save_array(a: OrthogonalArray) -> str:
     return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class EffectTable:
-    """Mean observed score and supporting row count per (variable, value)."""
-
-    means: tuple[tuple[float, ...], ...]
-    counts: tuple[tuple[int, ...], ...]
-
-
 def main_effect(a: OrthogonalArray, scores, var: int, value: int) -> float:
     """Mean score over rows whose var-th entry equals value."""
     scores = list(scores)
@@ -181,32 +170,32 @@ def main_effect(a: OrthogonalArray, scores, var: int, value: int) -> float:
         raise IndexError(f"variable {var} out of range")
     if not 0 <= value < a.column_levels[var]:
         raise IndexError(f"value {value} out of range for variable {var}")
-    selected = [s for s, row in zip(scores, a.rows) if row[var] == value]
-    return sum(selected) / len(selected)
+    # Added left to right, as effect_table's bincount does; sum() compensates
+    # float rounding from Python 3.12 on.
+    total = count = 0
+    for s, row in zip(scores, a.rows):
+        if row[var] == value:
+            total += s
+            count += 1
+    return total / count
 
 
-def effect_table(a: OrthogonalArray, scores) -> EffectTable:
-    means, counts = [], []
-    for var, levels in enumerate(a.column_levels):
-        means.append(tuple(main_effect(a, scores, var, v) for v in range(levels)))
-        counts.append(
-            tuple(sum(1 for row in a.rows if row[var] == v) for v in range(levels))
-        )
-    return EffectTable(means=tuple(means), counts=tuple(counts))
+def effect_table(a: OrthogonalArray, scores) -> list[np.ndarray]:
+    """Per variable, the main effect of each of its values, indexed by value."""
+    scores = np.asarray(scores, dtype=float)
+    if len(scores) != a.n_rows:
+        raise ValueError(f"{len(scores)} scores for {a.n_rows} rows")
+    columns = np.array(a.rows).T
+    return [
+        np.bincount(col, scores, k) / np.bincount(col, None, k)
+        for col, k in zip(columns, a.column_levels)
+    ]
 
 
 def predict_best(a: OrthogonalArray, scores) -> Candidate:
     """Per variable independently, the value with the best main effect; ties
     break toward the lowest value index."""
-    table = effect_table(a, scores)
-    choices = []
-    for var_means in table.means:
-        best_v, best_m = 0, var_means[0]
-        for v, m in enumerate(var_means):
-            if m > best_m:
-                best_v, best_m = v, m
-        choices.append(best_v)
-    return Candidate(choices)
+    return Candidate([int(np.argmax(means)) for means in effect_table(a, scores)])
 
 
 def best_tested(a: OrthogonalArray, scores) -> Candidate:

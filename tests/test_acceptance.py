@@ -191,7 +191,7 @@ def test_criterion_9_evolution_structural_suite():
     cfg = EvolutionConfig()
     plan = allocate_evolution(200_000, cfg.generations, pop_size)
     rng = np.random.Generator(np.random.PCG64(12))
-    result = run_evolution(space, ev, plan, cfg, rng)
+    result = run_evolution(ev, plan, cfg, rng)
 
     eight_gens = len(result.records) == cfg.generations == 8
     constant_pop = all(len(r.genomes) == pop_size for r in result.records)

@@ -223,14 +223,3 @@ def test_monotone_perturbation():
                 assert bumped.true_cr(c) >= ev.true_cr(c)
             else:
                 assert bumped.true_cr(c) == ev.true_cr(c)
-
-
-def test_json_round_trip():
-    ev = sample_evaluator(SearchSpace([3, 6, 2]), NONLINEAR, seed=5)
-    back = Evaluator.from_json(ev.to_json())
-    assert back.space == ev.space
-    assert back.main_effects == ev.main_effects
-    assert back.interactions == ev.interactions
-    assert back.mode == ev.mode
-    probe = Candidate([2, 4, 1])
-    assert back.true_cr(probe) == ev.true_cr(probe)

@@ -204,7 +204,7 @@ def run_once(space, seed, total=100_000, cfg=None):
     ev = sample_evaluator(space, LINEAR, seed=seed)
     pop = sum(k - 1 for k in space.cardinalities)
     plan = allocate_evolution(total, cfg.generations, pop)
-    return ev, run_evolution(space, ev, plan, cfg, rng_for(seed + 1000))
+    return ev, run_evolution(ev, plan, cfg, rng_for(seed + 1000))
 
 
 def test_run_evolution_structure():
@@ -244,8 +244,8 @@ def test_run_evolution_determinism():
     ev = sample_evaluator(space, LINEAR, seed=4)
     plan = allocate_evolution(50_000, 8, 8)
     cfg = EvolutionConfig()
-    r1 = run_evolution(space, ev, plan, cfg, rng_for(77))
-    r2 = run_evolution(space, ev, plan, cfg, rng_for(77))
+    r1 = run_evolution(ev, plan, cfg, rng_for(77))
+    r2 = run_evolution(ev, plan, cfg, rng_for(77))
     assert r1.winner == r2.winner
     assert r1.winner_pbc == r2.winner_pbc
     for a, b in zip(r1.records, r2.records):
@@ -259,9 +259,9 @@ def test_run_evolution_plan_mismatch():
     space = SearchSpace([2, 2])
     ev = sample_evaluator(space, LINEAR, seed=0)
     with pytest.raises(ValueError):
-        run_evolution(space, ev, [[10, 10]] * 7, EvolutionConfig(), rng_for(0))
+        run_evolution(ev, [[10, 10]] * 7, EvolutionConfig(), rng_for(0))
     with pytest.raises(ValueError):
-        run_evolution(space, ev, [[10, 10, 10]] * 8, EvolutionConfig(), rng_for(0))
+        run_evolution(ev, [[10, 10, 10]] * 8, EvolutionConfig(), rng_for(0))
 
 
 def test_high_traffic_winner_near_oracle():

@@ -1,26 +1,13 @@
-"""Search space, candidate, and one-hot encoding tests."""
+"""Search space and candidate tests."""
 
 import pytest
 from hypothesis import given, strategies as st
 
-from mvtlab.genome import (
-    Candidate,
-    SearchSpace,
-    control,
-    from_one_hot,
-    one_gene_variants,
-    to_one_hot,
-)
+from mvtlab.genome import Candidate, SearchSpace, control, one_gene_variants
 
 spaces = st.lists(st.integers(min_value=2, max_value=7), min_size=1, max_size=6).map(
     SearchSpace
 )
-
-
-def candidates_for(space):
-    return st.tuples(
-        *(st.integers(min_value=0, max_value=k - 1) for k in space.cardinalities)
-    ).map(Candidate)
 
 
 def test_space_rejects_degenerate():
@@ -33,7 +20,6 @@ def test_space_rejects_degenerate():
 def test_space_totals():
     space = SearchSpace([2, 4, 5, 3])
     assert space.total_combinations == 120
-    assert space.one_hot_length == 14
     assert len(space) == 4
 
 
@@ -43,42 +29,11 @@ def test_control_is_all_zero():
     assert control(SearchSpace([3, 3, 3, 3])).choices == (0, 0, 0, 0)
 
 
-def test_control_one_hot_matches_concatenated_segments():
-    space = SearchSpace([2, 4, 5, 3])
-    bits = to_one_hot(control(space), space)
-    assert bits == (1, 0, 1, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0)
-
-
-def test_one_hot_placement():
-    assert to_one_hot(Candidate([1]), SearchSpace([2])) == (0, 1)
-    assert to_one_hot(Candidate([2, 1]), SearchSpace([3, 2])) == (0, 0, 1, 0, 1)
-
-
-def test_one_hot_rejects_mismatched_candidate():
+def test_candidate_validate_rejects_mismatched_candidate():
     with pytest.raises(ValueError):
-        to_one_hot(Candidate([0, 0]), SearchSpace([2]))
+        Candidate([0, 0]).validate(SearchSpace([2]))
     with pytest.raises(ValueError):
-        to_one_hot(Candidate([5]), SearchSpace([3]))
-
-
-def test_from_one_hot_basic():
-    assert from_one_hot((0, 1), SearchSpace([2])).choices == (1,)
-
-
-def test_from_one_hot_rejects_malformed_segments():
-    space = SearchSpace([2])
-    with pytest.raises(ValueError):
-        from_one_hot((1, 1), space)
-    with pytest.raises(ValueError):
-        from_one_hot((0, 0), space)
-    with pytest.raises(ValueError):
-        from_one_hot((0, 1, 0), space)
-
-
-@given(spaces.flatmap(lambda s: st.tuples(st.just(s), candidates_for(s))))
-def test_one_hot_round_trip(space_and_candidate):
-    space, cand = space_and_candidate
-    assert from_one_hot(to_one_hot(cand, space), space) == cand
+        Candidate([5]).validate(SearchSpace([3]))
 
 
 def test_variant_counts():

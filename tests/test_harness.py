@@ -3,14 +3,20 @@ parsing, and the CLI."""
 
 import json
 import xml.etree.ElementTree as ET
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 import scipy
 
 from mvtlab.cli import main as cli_main
-from mvtlab.evaluator import LINEAR, EvaluatorConfigError, brute_force_best, sample_evaluator
+from mvtlab.evaluator import (
+    LINEAR,
+    EvaluatorConfigError,
+    WeightConfig,
+    brute_force_best,
+    sample_evaluator,
+)
 from mvtlab.evolution import EvolutionConfig
 from mvtlab.genome import SearchSpace
 from mvtlab.harness import (
@@ -18,9 +24,9 @@ from mvtlab.harness import (
     PRESETS,
     ExperimentConfig,
     ResultSeries,
+    config_digest,
     emit_csv,
     emit_svg,
-    get_preset,
     parse_config,
     run_comparison,
     run_during_experiment_curve,
@@ -33,7 +39,7 @@ SMOKE = dict(traffic=(2_000, 20_000), repetitions=3)
 
 
 def smoke_config(preset, **overrides):
-    return get_preset(preset, **{**SMOKE, **overrides})
+    return replace(PRESETS[preset], **{**SMOKE, **overrides})
 
 
 def test_presets_cover_paper_settings():
@@ -42,9 +48,9 @@ def test_presets_cover_paper_settings():
         "mixed-linear", "mixed-nonlinear", "during-experiment",
     }
     assert PRESETS["setting2-linear"].space.cardinalities == (3, 3, 3, 3)
-    assert PRESETS["setting2-linear"].array_name == "oa9_3x4"
+    assert PRESETS["setting2-linear"].array == "oa9_3x4"
     assert PRESETS["mixed-linear"].space.cardinalities == (3, 6, 2, 3, 6, 2, 2, 6)
-    assert PRESETS["mixed-linear"].array_name == "oa36_mixed"
+    assert PRESETS["mixed-linear"].array == "oa36_mixed"
     assert PRESETS["mixed-nonlinear"].mode == "nonlinear"
     assert PRESETS["during-experiment"].curve == "during"
     for cfg in PRESETS.values():
@@ -73,14 +79,19 @@ def test_config_validation():
         replace(PRESETS["setting2-linear"], traffic=(63, 1000))
     with pytest.raises(EvaluatorConfigError):  # 10^8-cell landscape
         replace(PRESETS["setting2-linear"], space=SearchSpace([10] * 8))
-    with pytest.raises(KeyError):
-        get_preset("no-such-preset")
+    with pytest.raises(ValueError):  # SeedSequence takes no negative seed
+        replace(PRESETS["setting2-linear"], master_seed=-1)
+    for weights in (WeightConfig(bias=1.5), WeightConfig(delta_pair=-1.0)):
+        with pytest.raises(EvaluatorConfigError):
+            replace(PRESETS["setting2-linear"], weights=weights)
+    with pytest.raises(EvaluatorConfigError):  # 8 x 0.01 + 28 pairs x 0.04
+        replace(PRESETS["mixed-nonlinear"], weights=WeightConfig(delta_pair=0.04))
 
 
 def test_config_design_checks():
     # The array must match the space and fit in the smallest traffic level;
     # both are checked when the design is loaded, before any cell runs.
-    mismatch = replace(PRESETS["setting2-linear"], array_name="oa4_2x3")
+    mismatch = replace(PRESETS["setting2-linear"], array="oa4_2x3")
     with pytest.raises(ValueError, match="do not match"):
         mismatch.load_design()
     with pytest.raises(ValueError, match="do not match"):
@@ -211,12 +222,18 @@ def test_parse_config_round_trip():
     assert cfg.name == "smoke"
     assert cfg.space.cardinalities == (3, 6, 2, 3, 6, 2, 2, 6)
     assert cfg.mode == "nonlinear"
-    assert cfg.array_name == "oa36_mixed"
+    assert cfg.array == "oa36_mixed"
     assert cfg.weights.delta_pair == 0.004
     assert cfg.traffic == (10000, 100000)
     assert cfg.repetitions == 5
     assert cfg.master_seed == 99
     assert cfg.fixed_evaluator is True
+    # defaults come from the dataclasses
+    assert cfg.evolution == EvolutionConfig()
+    assert (cfg.weights.bias, cfg.weights.delta_main) == (0.05, 0.01)
+    assert (cfg.curve, cfg.out_dir) == ("comparison", "out")
+    # a value ending in .txt names a file, anything else a bundled array
+    assert parse_config("space = [2,2]\narray = arrays/mine.txt").array == "arrays/mine.txt"
 
 
 def test_parse_config_errors():
@@ -237,6 +254,45 @@ def test_parse_config_errors():
     assert parse_config("space = [2,2]\ntraffic = [1000, 2000]").traffic == (1000, 2000)
     with pytest.raises(ValueError):
         parse_config("space = [2,2]\nmode = nonlinearr")
+    # Values of the wrong type or range fail here, not at the first cell.
+    for line in (
+        "bias = 1.5", "delta_pair = -1", "bias = high", "delta_main = True",
+        "mutation_rate = 'x'", "generations = 2.5", "generations = True",
+        "repetitions = 2.5", "seed = 1.7", "seed = -1", "space = 5",
+        "space = [2.5, 2]", "name = 7", "out = None",
+    ):
+        with pytest.raises(ValueError):
+            parse_config(f"space = [2,2]\n{line}")
+
+
+def test_config_digest_covers_every_field_but_out_dir():
+    base = PRESETS["mixed-nonlinear"]
+    changes = {
+        "name": ["other"],
+        "space": [SearchSpace([2, 2, 2])],
+        "mode": [LINEAR],
+        "weights": [
+            WeightConfig(bias=0.04), WeightConfig(delta_main=0.009), WeightConfig(delta_pair=0.004)
+        ],
+        "array": ["oa9_3x4"],
+        "evolution": [
+            EvolutionConfig(generations=7),
+            EvolutionConfig(mutation_rate=0.02),
+            EvolutionConfig(elite_fraction=0.3),
+        ],
+        "traffic": [(1_000, 3_000)],
+        "repetitions": [3],
+        "master_seed": [1],
+        "fixed_evaluator": [True],
+        "curve": ["during"],
+    }
+    assert set(changes) == {f.name for f in fields(ExperimentConfig)} - {"out_dir"}
+    digests = {config_digest(base)}
+    for name, values in changes.items():
+        for value in values:
+            digests.add(config_digest(replace(base, **{name: value})))
+    assert len(digests) == 1 + sum(len(values) for values in changes.values())
+    assert config_digest(replace(base, out_dir="elsewhere")) == config_digest(base)
 
 
 def test_cli_run_preset(tmp_path, capsys):
@@ -263,6 +319,12 @@ def test_cli_run_config_file(tmp_path):
     cfg.write_text("space = [2, 2, 2]\narray = oa4_2x3\ntraffic = 2000\nrepetitions = 2\n")
     assert cli_main(["run", str(cfg), "--out", str(tmp_path / "scalar")]) == 0
     assert (tmp_path / "scalar" / "exp.csv").read_bytes() == (tmp_path / "exp.csv").read_bytes()
+    # Command-line overrides apply before the config is built: a population
+    # of 129 needs more than the default sweep's 1,000 impressions.
+    wide = tmp_path / "wide.txt"
+    wide.write_text("130\n" + "".join(f"{v}\n" for v in range(130)))
+    cfg.write_text(f"space = [130]\narray = {wide}\nrepetitions = 2\n")
+    assert cli_main(["run", str(cfg), "--traffic", "2000", "--out", str(tmp_path / "wide")]) == 0
 
 
 def test_cli_run_unknown_target():
@@ -279,8 +341,19 @@ def test_cli_run_config_errors_are_one_line(tmp_path, capsys):
         "levels": "space = [3, 3, 3, 3]\narray = oa4_2x3\n",
         "cap": "space = [10, 10, 10, 10, 10, 10, 10, 10]\narray = oa4_2x3\n",
         "missing": "space = [2, 2, 2]\narray = no/such/array.txt\n",
+        "bias": "space = [2, 2, 2]\narray = oa4_2x3\nbias = 1.5\n",
+        "delta_pair": "space = [2, 2, 2]\narray = oa4_2x3\ndelta_pair = -1\n",
+        "bias_text": "space = [2, 2, 2]\narray = oa4_2x3\nbias = high\n",
+        "mutation_rate": "space = [2, 2, 2]\narray = oa4_2x3\nmutation_rate = 'x'\n",
+        "generations": "space = [2, 2, 2]\narray = oa4_2x3\ngenerations = 2.5\n",
+        "repetitions": "space = [2, 2, 2]\narray = oa4_2x3\nrepetitions = 2.5\n",
+        "seed_float": "space = [2, 2, 2]\narray = oa4_2x3\nseed = 1.7\n",
+        "seed_negative": "space = [2, 2, 2]\narray = oa4_2x3\nseed = -1\n",
     }
-    argvs = [["run", "setting1-linear", "--reps", "1", "--out", str(tmp_path)]]
+    argvs = [
+        ["run", "setting1-linear", "--reps", "1", "--out", str(tmp_path)],
+        ["run", "setting1-linear", "--seed", "-1", "--out", str(tmp_path)],
+    ]
     for name, text in bad_configs.items():
         path = tmp_path / f"{name}.cfg"
         path.write_text(text)

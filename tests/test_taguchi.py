@@ -1,6 +1,12 @@
 """Orthogonal-array validation and main-effect analysis tests."""
 
+import importlib.util
+import sys
+from pathlib import Path
+
+import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from mvtlab.evaluator import LINEAR, brute_force_best, sample_evaluator
 from mvtlab.genome import Candidate, SearchSpace
@@ -112,14 +118,28 @@ def test_main_effect_index_errors(nine_row):
         main_effect(nine_row, [0.0] * 9, 0, 3)
     with pytest.raises(ValueError):
         main_effect(nine_row, [0.0] * 8, 0, 0)
+    with pytest.raises(ValueError):
+        predict_best(nine_row, [0.0] * 8)
 
 
 def test_partition_law(nine_row):
     scores = [0.03, 0.08, 0.01, 0.09, 0.04, 0.06, 0.02, 0.07, 0.05]
-    table = effect_table(nine_row, scores)
-    for means, counts in zip(table.means, table.counts):
+    for var, means in enumerate(effect_table(nine_row, scores)):
+        counts = [nine_row.column(var).count(v) for v in range(len(means))]
         total = sum(m * c for m, c in zip(means, counts))
         assert total == pytest.approx(sum(scores))
+
+
+@given(st.sampled_from(BUNDLED), st.integers(min_value=0, max_value=2**32 - 1))
+def test_effect_table_equals_main_effect(name, seed):
+    # The per-column bincount adds each value's scores in row order, like
+    # main_effect, so the means agree exactly, not just approximately.
+    a = load_bundled_array(name)
+    scores = np.random.default_rng(seed).random(a.n_rows).tolist()
+    for var, means in enumerate(effect_table(a, scores)):
+        assert len(means) == a.column_levels[var]
+        for value, mean in enumerate(means.tolist()):
+            assert mean == main_effect(a, scores, var, value)
 
 
 def test_predict_best_tie_break_is_control(nine_row):
@@ -188,3 +208,19 @@ def test_mixed_array_matches_mixed_space():
     a = load_bundled_array("oa36_mixed")
     assert a.n_rows == 36
     assert a.column_levels == (3, 6, 2, 3, 6, 2, 2, 6)
+
+
+def test_make_arrays_regenerates_bundled_arrays(tmp_path, monkeypatch):
+    root = Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location(
+        "make_arrays", root / "scripts" / "make_arrays.py"
+    )
+    script = importlib.util.module_from_spec(spec)
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the script prepends src/
+    spec.loader.exec_module(script)
+    monkeypatch.setattr(script, "OUT", tmp_path)
+    script.main()
+    bundled = root / "src" / "mvtlab" / "arrays"
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(f"{n}.txt" for n in BUNDLED)
+    for name in BUNDLED:
+        assert (tmp_path / f"{name}.txt").read_bytes() == (bundled / f"{name}.txt").read_bytes()
