@@ -162,6 +162,25 @@ def next_generation(
     return np.array(rows), new_impressions, new_conversions
 
 
+def undominated(conversions: list[int], failures: list[int]) -> list[int]:
+    """Indices, ascending, of the count pairs that no other pair dominates.
+
+    Pair j dominates pair i when it has at least as many conversions and at
+    most as many failures, and the pairs differ; exactly equal pairs are all
+    kept. One sweep in order of conversions descending, then failures
+    ascending: a pair is undominated exactly when it has fewer failures than
+    the last pair kept, or equals it.
+    """
+    order = sorted(range(len(conversions)), key=lambda i: (-conversions[i], failures[i]))
+    front, last = [], None
+    for i in order:
+        pair = (conversions[i], failures[i])
+        if last is None or pair[1] < last[1] or pair == last:
+            front.append(i)
+            last = pair
+    return sorted(front)
+
+
 def beat_control_winner(
     tested: dict, ctrl: Candidate, ctrl_stats: CandidateStats
 ) -> tuple[Candidate, float]:
@@ -173,18 +192,28 @@ def beat_control_winner(
     win. PBC is compared in units of PBC_TOL, the accuracy it is computed
     to, so clear winners near 1.0 tie whatever the quadrature's rounding;
     posterior mean breaks those ties, and the earlier entry wins a full tie.
+
+    PBC is computed only for the undominated genomes. Every genome shares
+    the pooled prior, so one with no fewer conversions and no more failures
+    than another has a stochastically larger posterior: no lower PBC and,
+    counts differing, a strictly higher mean. A dominated genome cannot win.
+    Kept genomes stay in tested order, and a pair's PBC does not depend on
+    the rest of its batch, so the winner and its PBC are those of the full
+    computation.
     """
     prior = global_prior([*tested.values(), ctrl_stats])
     ctrl_post = posterior(ctrl_stats, prior)
-    imp = np.array([s.impressions for s in tested.values()], dtype=np.int64)
-    conv = np.array([s.conversions for s in tested.values()], dtype=np.int64)
-    # The posterior() arithmetic, one tested genome per element.
-    alphas = prior.alpha + conv
-    betas = prior.beta + (imp - conv)
+    genomes = list(tested)
+    conv = [s.conversions for s in tested.values()]
+    fail = [s.impressions - s.conversions for s in tested.values()]
+    front = undominated(conv, fail)
+    # The posterior() arithmetic, one undominated genome per element.
+    alphas = prior.alpha + np.array([conv[i] for i in front], dtype=np.int64)
+    betas = prior.beta + np.array([fail[i] for i in front], dtype=np.int64)
     pbcs = [0.5, *prob_beats_control_many(alphas, betas, ctrl_post).tolist()]
     means = [ctrl_post.mean, *(alphas / (alphas + betas)).tolist()]
     best = max(range(len(pbcs)), key=lambda i: (round(pbcs[i] / PBC_TOL), means[i]))
-    winner = Candidate(list(tested)[best - 1]) if best else ctrl
+    winner = Candidate(genomes[front[best - 1]]) if best else ctrl
     return winner, pbcs[best]
 
 

@@ -6,7 +6,19 @@ A candidate is one value choice per variable.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+
+
+def _index(value, what: str) -> int:
+    """value as a Python int. Ints and numpy integers pass (populations are
+    numpy rows); bools and non-integers are a ValueError, not truncated."""
+    if isinstance(value, bool):
+        raise ValueError(f"{what} must be an int, got {value!r}")
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an int, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -16,7 +28,7 @@ class SearchSpace:
     cardinalities: tuple[int, ...]
 
     def __init__(self, cardinalities):
-        cards = tuple(int(k) for k in cardinalities)
+        cards = tuple(_index(k, "cardinality") for k in cardinalities)
         if len(cards) < 1:
             raise ValueError("search space needs at least one variable")
         if any(k < 2 for k in cards):
@@ -38,7 +50,7 @@ class Candidate:
     choices: tuple[int, ...]
 
     def __init__(self, choices):
-        object.__setattr__(self, "choices", tuple(int(v) for v in choices))
+        object.__setattr__(self, "choices", tuple(_index(v, "choice") for v in choices))
 
     def __len__(self) -> int:
         return len(self.choices)

@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import scipy
 
+from . import __version__
 from .evaluator import (
     LINEAR,
     NONLINEAR,
@@ -374,8 +375,6 @@ def config_digest(config: ExperimentConfig) -> str:
 def run_experiment(config: ExperimentConfig) -> dict:
     """Run a configured experiment and write CSV, SVG, and a JSON manifest
     into the output directory. Returns the output paths."""
-    from importlib.metadata import version as pkg_version
-
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     if config.curve == "during":
@@ -387,15 +386,11 @@ def run_experiment(config: ExperimentConfig) -> dict:
     manifest_path = out / f"{config.name}.manifest.json"
     emit_csv(series, csv_path)
     emit_svg(series, svg_path, title=config.name)
-    try:
-        ver = pkg_version("mvtlab")
-    except Exception:
-        ver = "unknown"
     manifest = {
         "name": config.name,
         "seed": config.master_seed,
         "config_sha256": config_digest(config),
-        "mvtlab_version": ver,
+        "mvtlab_version": __version__,
         "numpy_version": np.__version__,
         # beat-control numbers come from scipy.special.betainc
         "scipy_version": scipy.__version__,

@@ -3,6 +3,7 @@ determinism, and oracle comparisons at high traffic."""
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from mvtlab.evaluator import LINEAR, brute_force_best, sample_evaluator
 from mvtlab.evolution import (
@@ -14,6 +15,7 @@ from mvtlab.evolution import (
     next_generation,
     run_evolution,
     select_elites,
+    undominated,
 )
 from mvtlab.genome import Candidate, SearchSpace, control
 from mvtlab.simstats import (
@@ -23,6 +25,7 @@ from mvtlab.simstats import (
     global_prior,
     posterior,
     prob_beats_control,
+    prob_beats_control_many,
 )
 
 
@@ -316,3 +319,67 @@ def test_winner_defaults_to_control():
     tested = {(1, 0): CandidateStats(10_000, 300)}
     winner, winner_pbc = beat_control_winner(tested, ctrl, CandidateStats(10_000, 600))
     assert (winner, winner_pbc) == (ctrl, 0.5)
+
+
+@given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), max_size=30))
+def test_undominated_equals_dominance_definition(pairs):
+    conv = [c for c, _ in pairs]
+    fail = [f for _, f in pairs]
+
+    def dominated(i):
+        return any(
+            conv[j] >= conv[i] and fail[j] <= fail[i] and pairs[j] != pairs[i]
+            for j in range(len(pairs))
+        )
+
+    assert undominated(conv, fail) == [i for i in range(len(pairs)) if not dominated(i)]
+
+
+def full_winner(tested, ctrl, ctrl_stats):
+    """beat_control_winner's key over every tested genome, with no pruning."""
+    prior = global_prior([*tested.values(), ctrl_stats])
+    ctrl_post = posterior(ctrl_stats, prior)
+    posts = [posterior(s, prior) for s in tested.values()]
+    alphas, betas = [p.alpha for p in posts], [p.beta for p in posts]
+    pbcs = [0.5, *prob_beats_control_many(alphas, betas, ctrl_post).tolist()]
+    means = [ctrl_post.mean, *(p.mean for p in posts)]
+    best = max(range(len(pbcs)), key=lambda i: (round(pbcs[i] / PBC_TOL), means[i]))
+    return (Candidate(list(tested)[best - 1]) if best else ctrl), pbcs[best]
+
+
+# At least one conversion each: a zero-conversion count under a pooled rate
+# below 1% has a posterior shape below 1, which goes to the adaptive
+# fallback, and that can raise QuadratureError on either path.
+count_pairs = st.integers(10, 1_000_000).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(1, int(0.3 * n)))
+)
+
+
+@st.composite
+def winner_cases(draw):
+    # Genomes draw their counts from a small pool, so exact-count ties (and
+    # so identical posteriors) are common.
+    pool = draw(st.lists(count_pairs, min_size=1, max_size=5))
+    picks = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=12))
+    tested = {(i,): CandidateStats(*pair) for i, pair in enumerate(picks)}
+    return tested, CandidateStats(*draw(count_pairs))
+
+
+@settings(max_examples=150, deadline=None)
+@given(winner_cases())
+@example(({(1,): CandidateStats(1_000, 30)}, CandidateStats(1_000, 50)))
+@example(  # all dominated by the control
+    ({(1,): CandidateStats(1_000, 10), (2,): CandidateStats(2_000, 30)},
+     CandidateStats(8_000, 400))
+)
+@example(  # planted exact ties, also with the strongest genome
+    ({(1,): CandidateStats(5_000, 240), (2,): CandidateStats(5_000, 250),
+      (3,): CandidateStats(5_000, 250), (4,): CandidateStats(5_000, 250)},
+     CandidateStats(5_000, 200))
+)
+def test_pruned_winner_equals_full_computation(case):
+    tested, ctrl_stats = case
+    ctrl = Candidate((0,))
+    assert beat_control_winner(tested, ctrl, ctrl_stats) == full_winner(
+        tested, ctrl, ctrl_stats
+    )

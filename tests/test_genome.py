@@ -1,5 +1,6 @@
 """Search space and candidate tests."""
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -15,6 +16,24 @@ def test_space_rejects_degenerate():
         SearchSpace([])
     with pytest.raises(ValueError):
         SearchSpace([3, 1])
+
+
+@pytest.mark.parametrize("bad", [2.9, 3.0, True, np.float64(3.0), np.bool_(True), "3", None])
+def test_space_rejects_non_integer_values(bad):
+    with pytest.raises(ValueError):
+        SearchSpace([bad, 3])
+
+
+@pytest.mark.parametrize("bad", [1.7, 1.0, True, np.float64(1.0), np.bool_(True), "1", None])
+def test_candidate_rejects_non_integer_values(bad):
+    with pytest.raises(ValueError):
+        Candidate([0, bad])
+
+
+def test_numpy_integers_are_accepted():
+    assert SearchSpace(np.array([3, 2])).cardinalities == (3, 2)
+    choices = Candidate(np.array([1, 0], dtype=np.int8)).choices
+    assert choices == (1, 0) and all(type(v) is int for v in choices)
 
 
 def test_space_totals():

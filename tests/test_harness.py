@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 import scipy
 
+import mvtlab
 from mvtlab.cli import main as cli_main
 from mvtlab.evaluator import (
     LINEAR,
@@ -189,6 +190,7 @@ def test_run_experiment_outputs(tmp_path):
     assert manifest["seed"] == cfg.master_seed
     assert len(manifest["config_sha256"]) == 64
     assert manifest["scipy_version"] == scipy.__version__
+    assert manifest["mvtlab_version"] == mvtlab.__version__
 
 
 def test_rerun_is_byte_identical(tmp_path):
