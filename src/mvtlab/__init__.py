@@ -8,5 +8,5 @@ from .evaluator import Evaluator, WeightConfig, brute_force_best, sample_evaluat
 from .evolution import EvolutionConfig, run_evolution
 from .genome import Candidate, SearchSpace, control, one_gene_variants
 from .harness import ExperimentConfig, PRESETS, run_comparison, run_during_experiment_curve
-from .simstats import BetaPosterior, CandidateStats, prob_beats_control
+from .simstats import BetaPosterior, prob_beats_control
 from .taguchi import OrthogonalArray, load_array, main_effect, predict_best, validate

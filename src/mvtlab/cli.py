@@ -34,8 +34,9 @@ def cmd_run(args) -> int:
 
 def _run_config(args):
     """The preset or config file named on the command line with the
-    command-line overrides applied and its array loaded and checked;
-    ValueError (or OSError, for an unreadable file) for any invalid
+    command-line overrides applied, its array loaded and checked and its
+    output directory created; ValueError (or OSError, for an unreadable file
+    or an output directory that cannot be created) for any invalid
     setting."""
     overrides = {
         key: getattr(args, key)
@@ -52,6 +53,7 @@ def _run_config(args):
             raise ValueError(f"{args.target!r} is neither a preset nor a config file")
         config = parse_config(path.read_text(), name=path.stem, overrides=overrides)
     config.load_design()
+    Path(config.out_dir).mkdir(parents=True, exist_ok=True)
     return config
 
 

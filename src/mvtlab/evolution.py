@@ -5,7 +5,8 @@ generations keep the top-ranked elites (with their accumulated statistics)
 and refill the rest by uniform crossover of elite pairs plus per-gene
 mutation. The winner is the tested candidate with the highest probability
 to beat control. A population is an (n, variables) int array of genomes
-with per-slot impression and conversion count arrays.
+with per-slot impression and conversion count arrays; outside breeding a
+genome is its flat (C-order) index into the evaluator's landscape tensor.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from .genome import Candidate, SearchSpace, control, one_gene_variants
 from .simstats import (
     PBC_TOL,
     BetaPosterior,
-    CandidateStats,
     global_prior,
     posterior,
     prob_beats_control_many,
@@ -64,29 +64,27 @@ def init_population(space: SearchSpace) -> np.ndarray:
 
 
 def select_elites(
-    genomes: np.ndarray,
+    ids: np.ndarray,
     impressions: np.ndarray,
     conversions: np.ndarray,
     elite_fraction: float,
     prior: BetaPosterior,
 ) -> list[int]:
     """Indices of the top ceil(fraction * n) slots by posterior-mean
-    conversion rate, ties toward the earlier index, deduplicated by genome."""
-    if len(genomes) == 0:
+    conversion rate, ties toward the earlier index, deduplicated by genome
+    (slots with equal flat ids)."""
+    if len(ids) == 0:
         raise ValueError("cannot select elites from an empty population")
     if (impressions < 1).any():
         raise ValueError("every candidate needs at least one impression")
-    n_elites = math.ceil(elite_fraction * len(genomes))
-    # The posterior() arithmetic, one slot per element.
-    alphas = prior.alpha + conversions
-    means = alphas / (alphas + (prior.beta + (impressions - conversions)))
-    rows = genomes.tolist()
+    n_elites = math.ceil(elite_fraction * len(ids))
+    alphas, betas = posterior(prior, impressions, conversions)
+    genomes = ids.tolist()
     elites, seen = [], set()
-    for i in np.argsort(-means, kind="stable").tolist():
-        genome = tuple(rows[i])
-        if genome in seen:
+    for i in np.argsort(-(alphas / (alphas + betas)), kind="stable").tolist():
+        if genomes[i] in seen:
             continue
-        seen.add(genome)
+        seen.add(genomes[i])
         elites.append(i)
         if len(elites) == n_elites:
             break
@@ -182,10 +180,15 @@ def undominated(conversions: list[int], failures: list[int]) -> list[int]:
 
 
 def beat_control_winner(
-    tested: dict, ctrl: Candidate, ctrl_stats: CandidateStats
-) -> tuple[Candidate, float]:
-    """The tested genome with the highest probability to beat control, and
-    that probability, under posteriors smoothed by the pooled prior.
+    impressions: np.ndarray,
+    conversions: np.ndarray,
+    ctrl_impressions: int,
+    ctrl_conversions: int,
+) -> tuple[int | None, float]:
+    """The index of the tested genome with the highest probability to beat
+    control (None for the control), and that probability, under posteriors
+    smoothed by the pooled prior. Element i of the count arrays is genome i's
+    accumulated evidence.
 
     The control is itself a tested candidate (PBC exactly 1/2 against its
     own posterior), so nothing with worse evidence than the default can
@@ -201,29 +204,38 @@ def beat_control_winner(
     the rest of its batch, so the winner and its PBC are those of the full
     computation.
     """
-    prior = global_prior([*tested.values(), ctrl_stats])
-    ctrl_post = posterior(ctrl_stats, prior)
-    genomes = list(tested)
-    conv = [s.conversions for s in tested.values()]
-    fail = [s.impressions - s.conversions for s in tested.values()]
-    front = undominated(conv, fail)
-    # The posterior() arithmetic, one undominated genome per element.
-    alphas = prior.alpha + np.array([conv[i] for i in front], dtype=np.int64)
-    betas = prior.beta + np.array([fail[i] for i in front], dtype=np.int64)
+    prior = global_prior(
+        int(impressions.sum()) + ctrl_impressions, int(conversions.sum()) + ctrl_conversions
+    )
+    ctrl_post = BetaPosterior(*posterior(prior, ctrl_impressions, ctrl_conversions))
+    front = undominated(conversions.tolist(), (impressions - conversions).tolist())
+    alphas, betas = posterior(prior, impressions[front], conversions[front])
     pbcs = [0.5, *prob_beats_control_many(alphas, betas, ctrl_post).tolist()]
     means = [ctrl_post.mean, *(alphas / (alphas + betas)).tolist()]
     best = max(range(len(pbcs)), key=lambda i: (round(pbcs[i] / PBC_TOL), means[i]))
-    winner = Candidate(genomes[front[best - 1]]) if best else ctrl
-    return winner, pbcs[best]
+    return (front[best - 1] if best else None), pbcs[best]
 
 
 @dataclass(frozen=True)
 class EvolutionResult:
+    """`tested`: the distinct genomes served, one row each in first-tested
+    order, with count arrays aligned to it (the control's own share aside)."""
+
     records: tuple
     winner: Candidate
     winner_pbc: float
-    control_stats: CandidateStats
-    tested: dict  # genome tuple -> accumulated CandidateStats
+    tested: np.ndarray
+    tested_impressions: np.ndarray
+    tested_conversions: np.ndarray
+
+
+def tally(ids: np.ndarray, impressions: np.ndarray, conversions: np.ndarray):
+    """(distinct ids, summed impressions, summed conversions), one element per
+    distinct id in order of first appearance in `ids`."""
+    unique, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    sums = (np.bincount(inverse, weights=counts) for counts in (impressions, conversions))
+    return unique[order], *(s.astype(np.int64)[order] for s in sums)
 
 
 def run_evolution(
@@ -261,31 +273,26 @@ def run_evolution(
     crs = np.append(np.zeros(pop_size), evaluator.true_crs([ctrl.choices]))
     impressions = np.zeros(pop_size, dtype=np.int64)
     conversions = np.zeros(pop_size, dtype=np.int64)
-    ctrl_conv = 0
-    tested: dict[tuple[int, ...], list[int]] = {}
+    # Row g: generation g's flat id per slot; conversions drawn per slot,
+    # then the control's.
+    ids = np.empty((config.generations, pop_size), dtype=np.intp)
+    drawn = np.empty_like(served)
     records: list[GenerationRecord] = []
 
     for g in range(config.generations):
         # Bred genomes are in range by construction, so the landscape is
         # indexed without true_crs's checks.
-        true_crs = evaluator.table[tuple(genomes.T)]
+        ids[g] = np.ravel_multi_index(tuple(genomes.T), space.cardinalities)
+        true_crs = evaluator.table.ravel()[ids[g]]
         crs[:-1] = true_crs
         # One draw for every slot, then the control's, in that stream order.
-        drawn = simulate_conversions(crs, served[g], rng)
+        drawn[g] = simulate_conversions(crs, served[g], rng)
         impressions = impressions + served[g, :-1]
-        conversions = conversions + drawn[:-1]
-        ctrl_conv += int(drawn[-1])
-        for genome, n, c in zip(genomes.tolist(), served[g].tolist(), drawn.tolist()):
-            counts = tested.setdefault(tuple(genome), [0, 0])
-            counts[0] += n
-            counts[1] += c
+        conversions = conversions + drawn[g, :-1]
 
         # The pooled prior depends only on the population's totals.
-        pooled = CandidateStats(int(impressions.sum()), int(conversions.sum()))
-        prior = global_prior([pooled])
-        elite_idx = select_elites(
-            genomes, impressions, conversions, config.elite_fraction, prior
-        )
+        prior = global_prior(int(impressions.sum()), int(conversions.sum()))
+        elite_idx = select_elites(ids[g], impressions, conversions, config.elite_fraction, prior)
         records.append(
             GenerationRecord(g, genomes, impressions, conversions, true_crs, elite_idx)
         )
@@ -294,13 +301,18 @@ def run_evolution(
                 genomes, impressions, conversions, elite_idx, config, space, rng
             )
 
-    tested_stats = {genome: CandidateStats(*counts) for genome, counts in tested.items()}
-    ctrl_stats = CandidateStats(int(served[:, -1].sum()), ctrl_conv)
-    winner, winner_pbc = beat_control_winner(tested_stats, ctrl, ctrl_stats)
+    tested_ids, tested_imp, tested_conv = tally(
+        ids.ravel(), served[:, :-1].ravel(), drawn[:, :-1].ravel()
+    )
+    best, winner_pbc = beat_control_winner(
+        tested_imp, tested_conv, int(served[:, -1].sum()), int(drawn[:, -1].sum())
+    )
+    tested = np.transpose(np.unravel_index(tested_ids, space.cardinalities))
     return EvolutionResult(
         records=tuple(records),
-        winner=winner,
+        winner=ctrl if best is None else Candidate(tested[best]),
         winner_pbc=winner_pbc,
-        control_stats=ctrl_stats,
-        tested=tested_stats,
+        tested=tested,
+        tested_impressions=tested_imp,
+        tested_conversions=tested_conv,
     )

@@ -492,8 +492,10 @@ def configure(values: dict, base: ExperimentConfig | None = None) -> ExperimentC
 def parse_config(text: str, name: str = "custom", overrides=None) -> ExperimentConfig:
     """Parse a declarative key = value config file; values use Python
     literal syntax, e.g. `space = [3, 6, 2, 3, 6, 2, 2, 6]`. `overrides`
-    (config keys to values) take precedence over the file's lines."""
+    (config keys to values) take precedence over the file's lines. A key
+    may appear on one line only."""
     values = {"name": name}
+    set_on: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -504,6 +506,9 @@ def parse_config(text: str, name: str = "custom", overrides=None) -> ExperimentC
         key = key.strip()
         if key not in _CONFIG_KEYS:
             raise ValueError(f"line {lineno}: unknown key {key!r}")
+        if key in set_on:
+            raise ValueError(f"line {lineno}: key {key!r} already set on line {set_on[key]}")
+        set_on[key] = lineno
         try:
             values[key] = ast.literal_eval(rhs.strip())
         except (ValueError, SyntaxError):

@@ -9,24 +9,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-DEFAULT_PRIOR_STRENGTH = 100.0
+PRIOR_STRENGTH = 100.0
 PBC_TOL = 1e-6
 
 
 class QuadratureError(RuntimeError):
     """Raised when the beat-control integral fails to reach tolerance."""
-
-
-@dataclass(frozen=True)
-class CandidateStats:
-    impressions: int = 0
-    conversions: int = 0
-
-    def __post_init__(self):
-        if not 0 <= self.conversions <= self.impressions:
-            raise ValueError(
-                f"conversions {self.conversions} outside [0, {self.impressions}]"
-            )
 
 
 @dataclass(frozen=True)
@@ -77,33 +65,29 @@ def simulate_conversions(true_cr, impressions, rng: np.random.Generator):
     return rng.binomial(impressions, true_cr)
 
 
-def global_prior(
-    all_stats, strength: float = DEFAULT_PRIOR_STRENGTH
-) -> BetaPosterior:
-    """Beta prior whose mean is the pooled conversion rate of every tested
-    candidate, with the given equivalent sample size.
+def global_prior(impressions: int, conversions: int) -> BetaPosterior:
+    """Beta prior whose mean is the pooled conversion rate, the total
+    conversions over the total impressions of every tested candidate, with
+    an equivalent sample size of PRIOR_STRENGTH impressions.
 
     A degenerate pooled rate (all conversions or none) gets an
     add-one-success-one-failure adjustment so both parameters stay positive;
-    a 0/100 pool therefore yields mean 1/102.
+    a 0/100 pool therefore yields mean 1/102. Conversions outside
+    [0, impressions] make a parameter non-positive: ValueError.
     """
-    imp = sum(s.impressions for s in all_stats)
-    conv = sum(s.conversions for s in all_stats)
-    if imp == 0:
+    if impressions == 0:
         raise ValueError("prior needs at least one impression")
-    if conv == 0 or conv == imp:
-        m = (conv + 1.0) / (imp + 2.0)
+    if conversions == 0 or conversions == impressions:
+        m = (conversions + 1.0) / (impressions + 2.0)
     else:
-        m = conv / imp
-    return BetaPosterior(alpha=m * strength, beta=(1.0 - m) * strength)
+        m = conversions / impressions
+    return BetaPosterior(alpha=m * PRIOR_STRENGTH, beta=(1.0 - m) * PRIOR_STRENGTH)
 
 
-def posterior(stats: CandidateStats, prior: BetaPosterior) -> BetaPosterior:
-    """Conjugate Beta update with the candidate's observed counts."""
-    return BetaPosterior(
-        alpha=prior.alpha + stats.conversions,
-        beta=prior.beta + (stats.impressions - stats.conversions),
-    )
+def posterior(prior: BetaPosterior, impressions, conversions):
+    """Conjugate Beta update of the prior with observed counts, element by
+    element: (alphas, betas), arrays for count arrays and floats for ints."""
+    return prior.alpha + conversions, prior.beta + (impressions - conversions)
 
 
 # Beat-control integrals are evaluated on a window of this many standard

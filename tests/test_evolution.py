@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from mvtlab import evolution
 from mvtlab.evaluator import LINEAR, brute_force_best, sample_evaluator
 from mvtlab.evolution import (
     EvolutionConfig,
@@ -15,12 +16,13 @@ from mvtlab.evolution import (
     next_generation,
     run_evolution,
     select_elites,
+    tally,
     undominated,
 )
-from mvtlab.genome import Candidate, SearchSpace, control
+from mvtlab.genome import Candidate, SearchSpace
 from mvtlab.simstats import (
     PBC_TOL,
-    CandidateStats,
+    BetaPosterior,
     allocate_evolution,
     global_prior,
     posterior,
@@ -54,54 +56,60 @@ def counts(pairs):
     return np.array(imp), np.array(conv)
 
 
+def flat_ids(genomes, space):
+    """Each genome row's flat index into the space's landscape tensor."""
+    return np.ravel_multi_index(tuple(np.asarray(genomes).T), space.cardinalities)
+
+
 def test_select_elites_count_and_tie_break():
     space = SearchSpace([2, 4, 5, 3])
-    genomes = init_population(space)
+    ids = flat_ids(init_population(space), space)
     imp, conv = counts([(100, 5)] * 10)
-    prior = global_prior([CandidateStats(100, 5)] * 10)
-    elites = select_elites(genomes, imp, conv, 0.20, prior)
+    prior = global_prior(1000, 50)
+    elites = select_elites(ids, imp, conv, 0.20, prior)
     assert elites == [0, 1]  # all tied -> earliest indices
 
 
 def test_select_elites_dominant_candidate_first():
     space = SearchSpace([3, 3])
-    genomes = init_population(space)
-    stats = [CandidateStats(100, 0)] * 3 + [CandidateStats(100, 100)]
+    ids = flat_ids(init_population(space), space)
     imp, conv = counts([(100, 0)] * 3 + [(100, 100)])
-    prior = global_prior(stats)
-    assert select_elites(genomes, imp, conv, 0.25, prior)[0] == 3
+    prior = global_prior(400, 100)
+    assert select_elites(ids, imp, conv, 0.25, prior)[0] == 3
 
 
 def test_select_elites_requires_impressions():
-    prior = global_prior([CandidateStats(10, 1)])
+    prior = global_prior(10, 1)
     with pytest.raises(ValueError):
-        select_elites(np.array([[1]]), np.array([0]), np.array([0]), 0.5, prior)
+        select_elites(np.array([1]), np.array([0]), np.array([0]), 0.5, prior)
     empty = np.zeros(0, dtype=int)
     with pytest.raises(ValueError):
-        select_elites(np.zeros((0, 1), dtype=int), empty, empty, 0.5, prior)
+        select_elites(empty, empty, empty, 0.5, prior)
 
 
 def test_select_elites_deduplicates_genomes():
-    genomes = np.array([[1, 0], [1, 0], [0, 1], [1, 1]])
-    pairs = [(100, 50), (100, 50), (100, 10), (100, 5)]
-    imp, conv = counts(pairs)
-    prior = global_prior([CandidateStats(*p) for p in pairs])
-    assert select_elites(genomes, imp, conv, 0.5, prior) == [0, 2]
+    ids = flat_ids([[1, 0], [1, 0], [0, 1], [1, 1]], SearchSpace([2, 2]))
+    imp, conv = counts([(100, 50), (100, 50), (100, 10), (100, 5)])
+    prior = global_prior(400, 115)
+    assert select_elites(ids, imp, conv, 0.5, prior) == [0, 2]
 
 
 def test_select_elites_matches_posterior_mean_sort():
-    # The array ranking is the per-candidate posterior().mean sort, ties
+    # The array ranking is the per-candidate posterior mean sort, ties
     # toward the earlier index, on exactly the same float arithmetic.
     rng = rng_for(9)
     for _ in range(200):
         n = int(rng.integers(1, 30))
         imp = rng.integers(1, 10**6, size=n)
         conv = rng.binomial(imp, 0.05)
-        genomes = np.arange(n)[:, None]  # all distinct
-        stats = [CandidateStats(int(a), int(b)) for a, b in zip(imp, conv)]
-        prior = global_prior(stats)
-        expected = sorted(range(n), key=lambda i: (-posterior(stats[i], prior).mean, i))
-        got = select_elites(genomes, imp, conv, 0.999, prior)
+        ids = np.arange(n)  # all distinct
+        prior = global_prior(int(imp.sum()), int(conv.sum()))
+
+        def mean(i):
+            return BetaPosterior(*posterior(prior, int(imp[i]), int(conv[i]))).mean
+
+        expected = sorted(range(n), key=lambda i: (-mean(i), i))
+        got = select_elites(ids, imp, conv, 0.999, prior)
         assert got == expected
 
 
@@ -162,8 +170,9 @@ def test_next_generation_structure():
     space = SearchSpace([2, 4, 5, 3])
     genomes = init_population(space)
     imp, conv = counts([(100, i) for i in range(10)])
-    prior = global_prior([CandidateStats(100, i) for i in range(10)])
-    elite_idx = select_elites(genomes, imp, conv, EvolutionConfig().elite_fraction, prior)
+    prior = global_prior(1000, 45)
+    ids = flat_ids(genomes, space)
+    elite_idx = select_elites(ids, imp, conv, EvolutionConfig().elite_fraction, prior)
     rng = rng_for(5)
     new_genomes, new_imp, new_conv = next_generation(
         genomes, imp, conv, elite_idx, EvolutionConfig(), space, rng
@@ -232,14 +241,33 @@ def test_run_evolution_structure():
         assert (nxt.conversions[:k] >= prev.conversions[prev.elite_indices]).all()
 
 
-def test_run_evolution_tested_totals_match_plan():
+def test_run_evolution_tested_totals_match_plan(monkeypatch):
+    # The tested set is every distinct genome served, and its counts are
+    # every slot's; the control's own share goes only to the winner choice.
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return beat_control_winner(*args)
+
+    monkeypatch.setattr(evolution, "beat_control_winner", spy)
     space = SearchSpace([3, 6, 2])
+    plan = allocate_evolution(50_000, 8, 8)
     _, result = run_once(space, 3, total=50_000)
-    assert sum(s.impressions for s in result.tested.values()) == 50_000
+    served = {tuple(g) for r in result.records for g in r.genomes.tolist()}
+    assert len(result.tested) == len(served)
+    assert {tuple(g) for g in result.tested.tolist()} == served
+    assert result.tested_impressions.sum() == 50_000
+    assert (result.tested_conversions <= result.tested_impressions).all()
+    tested = {tuple(g): i for i, g in enumerate(result.tested.tolist())}
     last = result.records[-1]
     for genome, n, c in zip(last.genomes.tolist(), last.impressions, last.conversions):
-        stats = result.tested[tuple(genome)]
-        assert stats.impressions >= n and stats.conversions >= c
+        i = tested[tuple(genome)]
+        assert result.tested_impressions[i] >= n and result.tested_conversions[i] >= c
+    [(imp, conv, ctrl_imp, ctrl_conv)] = calls
+    assert imp is result.tested_impressions and conv is result.tested_conversions
+    assert ctrl_imp == sum(slots[0] for slots in plan)
+    assert 0 <= ctrl_conv <= ctrl_imp
 
 
 def test_run_evolution_determinism():
@@ -297,28 +325,25 @@ def test_winner_near_one_ranked_by_posterior_mean():
     # Both candidates beat the control almost surely. The heavily tested one
     # has the higher PBC, by less than half a PBC_TOL step; the lightly
     # tested one has the higher posterior mean and must win.
-    ctrl_stats = CandidateStats(100_000, 5_000)
-    sure, better = CandidateStats(1_000_000, 60_000), CandidateStats(5_000, 334)
-    tested = {(1, 0): sure, (0, 1): better}
-    prior = global_prior([sure, better, ctrl_stats])
-    ctrl_post = posterior(ctrl_stats, prior)
-    pbc_sure = prob_beats_control(posterior(sure, prior), ctrl_post)
-    pbc_better = prob_beats_control(posterior(better, prior), ctrl_post)
+    ctrl_imp, ctrl_conv = 100_000, 5_000
+    imp, conv = counts([(1_000_000, 60_000), (5_000, 334)])  # sure, better
+    prior = global_prior(int(imp.sum()) + ctrl_imp, int(conv.sum()) + ctrl_conv)
+    ctrl_post = BetaPosterior(*posterior(prior, ctrl_imp, ctrl_conv))
+    sure, better = (BetaPosterior(a, b) for a, b in zip(*posterior(prior, imp, conv)))
+    pbc_sure = prob_beats_control(sure, ctrl_post)
+    pbc_better = prob_beats_control(better, ctrl_post)
     assert 0 < pbc_sure - pbc_better < PBC_TOL / 2
-    assert posterior(better, prior).mean > posterior(sure, prior).mean
+    assert better.mean > sure.mean
 
-    winner, winner_pbc = beat_control_winner(
-        tested, control(SearchSpace([2, 2])), ctrl_stats
-    )
-    assert winner == Candidate((0, 1))
+    winner, winner_pbc = beat_control_winner(imp, conv, ctrl_imp, ctrl_conv)
+    assert winner == 1
     assert winner_pbc == pbc_better  # reported unrounded
 
 
 def test_winner_defaults_to_control():
-    ctrl = control(SearchSpace([2, 2]))
-    tested = {(1, 0): CandidateStats(10_000, 300)}
-    winner, winner_pbc = beat_control_winner(tested, ctrl, CandidateStats(10_000, 600))
-    assert (winner, winner_pbc) == (ctrl, 0.5)
+    imp, conv = counts([(10_000, 300)])
+    winner, winner_pbc = beat_control_winner(imp, conv, 10_000, 600)
+    assert (winner, winner_pbc) == (None, 0.5)
 
 
 @given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), max_size=30))
@@ -335,16 +360,16 @@ def test_undominated_equals_dominance_definition(pairs):
     assert undominated(conv, fail) == [i for i in range(len(pairs)) if not dominated(i)]
 
 
-def full_winner(tested, ctrl, ctrl_stats):
+def full_winner(imp, conv, ctrl_imp, ctrl_conv):
     """beat_control_winner's key over every tested genome, with no pruning."""
-    prior = global_prior([*tested.values(), ctrl_stats])
-    ctrl_post = posterior(ctrl_stats, prior)
-    posts = [posterior(s, prior) for s in tested.values()]
+    prior = global_prior(int(imp.sum()) + ctrl_imp, int(conv.sum()) + ctrl_conv)
+    ctrl_post = BetaPosterior(*posterior(prior, ctrl_imp, ctrl_conv))
+    posts = [BetaPosterior(*posterior(prior, n, c)) for n, c in zip(imp.tolist(), conv.tolist())]
     alphas, betas = [p.alpha for p in posts], [p.beta for p in posts]
     pbcs = [0.5, *prob_beats_control_many(alphas, betas, ctrl_post).tolist()]
     means = [ctrl_post.mean, *(p.mean for p in posts)]
     best = max(range(len(pbcs)), key=lambda i: (round(pbcs[i] / PBC_TOL), means[i]))
-    return (Candidate(list(tested)[best - 1]) if best else ctrl), pbcs[best]
+    return (best - 1 if best else None), pbcs[best]
 
 
 # At least one conversion each: a zero-conversion count under a pooled rate
@@ -355,31 +380,46 @@ count_pairs = st.integers(10, 1_000_000).flatmap(
 )
 
 
+def case(pairs, ctrl_pair):
+    """(impressions, conversions, control impressions, control conversions)."""
+    return (*counts(pairs), *ctrl_pair)
+
+
 @st.composite
 def winner_cases(draw):
     # Genomes draw their counts from a small pool, so exact-count ties (and
     # so identical posteriors) are common.
     pool = draw(st.lists(count_pairs, min_size=1, max_size=5))
     picks = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=12))
-    tested = {(i,): CandidateStats(*pair) for i, pair in enumerate(picks)}
-    return tested, CandidateStats(*draw(count_pairs))
+    return case(picks, draw(count_pairs))
 
 
 @settings(max_examples=150, deadline=None)
 @given(winner_cases())
-@example(({(1,): CandidateStats(1_000, 30)}, CandidateStats(1_000, 50)))
-@example(  # all dominated by the control
-    ({(1,): CandidateStats(1_000, 10), (2,): CandidateStats(2_000, 30)},
-     CandidateStats(8_000, 400))
-)
+@example(case([(1_000, 30)], (1_000, 50)))
+@example(case([(1_000, 10), (2_000, 30)], (8_000, 400)))  # all dominated by the control
 @example(  # planted exact ties, also with the strongest genome
-    ({(1,): CandidateStats(5_000, 240), (2,): CandidateStats(5_000, 250),
-      (3,): CandidateStats(5_000, 250), (4,): CandidateStats(5_000, 250)},
-     CandidateStats(5_000, 200))
+    case([(5_000, 240), (5_000, 250), (5_000, 250), (5_000, 250)], (5_000, 200))
 )
 def test_pruned_winner_equals_full_computation(case):
-    tested, ctrl_stats = case
-    ctrl = Candidate((0,))
-    assert beat_control_winner(tested, ctrl, ctrl_stats) == full_winner(
-        tested, ctrl, ctrl_stats
+    assert beat_control_winner(*case) == full_winner(*case)
+
+
+@given(
+    st.lists(
+        st.tuples(st.integers(0, 9), st.integers(0, 10**6), st.integers(0, 10**6)),
+        max_size=40,
     )
+)
+def test_tally_equals_dict_reference(stream):
+    # A dict keeps keys in first-insertion order, the first-tested order.
+    reference: dict[int, list[int]] = {}
+    for genome, n, c in stream:
+        sums = reference.setdefault(genome, [0, 0])
+        sums[0] += n
+        sums[1] += c
+    ids, imp, conv = (np.array([row[k] for row in stream], dtype=np.int64) for k in range(3))
+    got_ids, got_imp, got_conv = tally(ids, imp, conv)
+    assert got_ids.tolist() == list(reference)
+    assert got_imp.tolist() == [n for n, _ in reference.values()]
+    assert got_conv.tolist() == [c for _, c in reference.values()]

@@ -2,8 +2,10 @@
 the checked-in CSV byte for byte.
 
 After a deliberate behaviour change, regenerate a golden with
-`python -m mvtlab.cli run <preset> --out DIR`, copy DIR/<preset>.csv into
-tests/golden/, and explain the diff in CHANGES.md.
+`PYTHONPATH=src python -m mvtlab.cli run <preset> --out DIR` from a source
+checkout (or `python -m mvtlab.cli run <preset> --out DIR` after
+`pip install -e .`), copy DIR/<preset>.csv into tests/golden/, and explain
+the diff in CHANGES.md.
 """
 
 from pathlib import Path

@@ -10,6 +10,7 @@ import pytest
 import scipy
 
 import mvtlab
+from mvtlab import cli
 from mvtlab.cli import main as cli_main
 from mvtlab.evaluator import (
     LINEAR,
@@ -265,6 +266,11 @@ def test_parse_config_errors():
     ):
         with pytest.raises(ValueError):
             parse_config(f"space = [2,2]\n{line}")
+    # A repeated key is an error, not a silent override.
+    with pytest.raises(ValueError, match="^line 3: key 'seed' already set on line 2$"):
+        parse_config("space = [2,2]\nseed = 1\nseed = 2")
+    with pytest.raises(ValueError, match="^line 2: key 'space' already set on line 1$"):
+        parse_config("space = [2,2]\nspace = [2,2]")
 
 
 def test_config_digest_covers_every_field_but_out_dir():
@@ -351,6 +357,7 @@ def test_cli_run_config_errors_are_one_line(tmp_path, capsys):
         "repetitions": "space = [2, 2, 2]\narray = oa4_2x3\nrepetitions = 2.5\n",
         "seed_float": "space = [2, 2, 2]\narray = oa4_2x3\nseed = 1.7\n",
         "seed_negative": "space = [2, 2, 2]\narray = oa4_2x3\nseed = -1\n",
+        "repeated": "space = [2, 2, 2]\narray = oa4_2x3\nseed = 1\nseed = 2\n",
     }
     argvs = [
         ["run", "setting1-linear", "--reps", "1", "--out", str(tmp_path)],
@@ -365,6 +372,17 @@ def test_cli_run_config_errors_are_one_line(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
     assert not list(tmp_path.glob("*.csv"))
+
+
+def test_cli_run_uncreatable_out_dir_is_one_line(tmp_path, capsys, monkeypatch):
+    # The output directory is created before any cell runs.
+    monkeypatch.setattr(cli, "run_experiment", lambda config: pytest.fail("cells ran"))
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert cli_main(["run", "setting1-linear", "--out", str(blocker / "x")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert str(blocker / "x") in err
 
 
 def test_cli_validate_array(tmp_path, capsys):

@@ -15,7 +15,6 @@ from scipy import special
 from mvtlab import simstats
 from mvtlab.simstats import (
     BetaPosterior,
-    CandidateStats,
     aggregate_runs,
     allocate_evolution,
     allocate_taguchi,
@@ -28,12 +27,13 @@ from mvtlab.simstats import (
 
 
 def test_stats_invariants():
+    # Pooled totals with conversions outside [0, impressions] are rejected.
     with pytest.raises(ValueError):
-        CandidateStats(10, 11)
+        global_prior(10, 11)
     with pytest.raises(ValueError):
-        CandidateStats(10, -1)
-    assert CandidateStats(10, 10).conversions == 10  # the bounds are inclusive
-    assert CandidateStats() == CandidateStats(0, 0)
+        global_prior(10, -1)
+    assert global_prior(10, 10).mean == pytest.approx(11 / 12)  # the bounds are inclusive
+    assert global_prior(10, 0).mean == pytest.approx(1 / 12)
 
 
 def test_beta_parameters_must_be_positive():
@@ -100,37 +100,39 @@ def test_simulate_conversions_concentration():
 
 
 def test_global_prior_pooled_mean():
-    prior = global_prior([CandidateStats(100, 5), CandidateStats(100, 15)])
+    prior = global_prior(100 + 100, 5 + 15)
     assert prior.mean == pytest.approx(0.10)
     assert prior.alpha == pytest.approx(10.0)
     assert prior.beta == pytest.approx(90.0)
 
 
 def test_global_prior_degenerate_guard():
-    prior = global_prior([CandidateStats(100, 0)])
+    prior = global_prior(100, 0)
     assert prior.mean == pytest.approx(1 / 102)
-    prior = global_prior([CandidateStats(100, 100)])
+    prior = global_prior(100, 100)
     assert prior.mean == pytest.approx(101 / 102)
     with pytest.raises(ValueError):
-        global_prior([CandidateStats(0, 0)])
+        global_prior(0, 0)
 
 
 def test_global_prior_pooling_invariance():
-    whole = global_prior([CandidateStats(200, 17)])
-    split = global_prior([CandidateStats(120, 9), CandidateStats(80, 8)])
+    whole = global_prior(200, 17)
+    imp, conv = np.array([120, 80]), np.array([9, 8])
+    split = global_prior(int(imp.sum()), int(conv.sum()))
     assert whole.mean == pytest.approx(split.mean)
 
 
 def test_posterior_conjugate_update():
     prior = BetaPosterior(1.0, 1.0)
-    post = posterior(CandidateStats(10, 3), prior)
-    assert (post.alpha, post.beta) == (4.0, 8.0)
-    assert posterior(CandidateStats(), prior) == prior
+    assert posterior(prior, 10, 3) == (4.0, 8.0)
+    assert posterior(prior, 0, 0) == (prior.alpha, prior.beta)
+    alphas, betas = posterior(prior, np.array([10, 0]), np.array([3, 0]))
+    assert alphas.tolist() == [4.0, 1.0] and betas.tolist() == [8.0, 1.0]
 
 
 def test_posterior_mean_approaches_observed_rate():
-    prior = global_prior([CandidateStats(10**6, 30000)])
-    post = posterior(CandidateStats(10**6, 30000), prior)
+    prior = global_prior(10**6, 30000)
+    post = BetaPosterior(*posterior(prior, 10**6, 30000))
     assert abs(post.mean - 0.03) <= 100 / (100 + 10**6)
 
 
