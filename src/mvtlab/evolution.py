@@ -5,14 +5,16 @@ generations keep the top-ranked elites (with their accumulated statistics)
 and refill the rest by uniform crossover of elite pairs plus per-gene
 mutation. The winner is the tested candidate with the highest probability
 to beat control. A population is an (n, variables) int array of genomes
-with per-slot impression and conversion count arrays; outside breeding a
-genome is its flat (C-order) index into the evaluator's landscape tensor.
+with per-slot impression and conversion count arrays; a genome is identified
+by its flat (C-order) index into the evaluator's landscape tensor, in
+breeding's duplicate check as everywhere else.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul
 
 import numpy as np
 
@@ -91,30 +93,37 @@ def select_elites(
     return elites
 
 
-def crossover(parent_a, parent_b, rng: np.random.Generator) -> list[int]:
-    """Uniform per-gene crossover: each gene from either parent with p=1/2."""
+def parent_pair(u: float, w: float, n_elites: int) -> tuple[int, int]:
+    """Indices of a uniformly random ordered pair of distinct elites, from two
+    uniforms in [0, 1); (0, 0) for a single elite."""
+    i = int(u * n_elites)
+    return i, (i + 1 + int(w * (n_elites - 1))) % n_elites
+
+
+def crossover(parent_a, parent_b, uniforms) -> list[int]:
+    """Uniform per-gene crossover: gene i from parent_a when uniforms[i] < 1/2,
+    else from parent_b."""
     if len(parent_a) != len(parent_b):
         raise ValueError("parents come from different spaces")
-    picks = (rng.random(len(parent_a)) < 0.5).tolist()
-    return [a if take_a else b for a, b, take_a in zip(parent_a, parent_b, picks)]
+    return [a if u < 0.5 else b for a, b, u in zip(parent_a, parent_b, uniforms)]
 
 
-def mutate(genome, rate: float, space: SearchSpace, rng: np.random.Generator) -> list[int]:
-    """Per gene with probability `rate`, switch to a uniformly random
-    different value of that variable."""
+def mutate(genome, rate: float, space: SearchSpace, uniforms) -> list[int]:
+    """Gene i mutates when uniforms[i] < rate, to a uniformly random different
+    value of its variable; uniforms[i] / rate, uniform in [0, 1) given the
+    hit, picks that value."""
     if len(genome) != len(space):
         raise ValueError(f"genome has {len(genome)} genes for a {len(space)}-variable space")
-    child = list(genome)
-    hits = (rng.random(len(child)) < rate).tolist()
-    for i, hit in enumerate(hits):
-        if hit:
-            child[i] = _other_value(child[i], space.cardinalities[i], rng)
-    return child
+    return [
+        _other_value(g, k, q / rate) if q < rate else g
+        for g, k, q in zip(genome, space.cardinalities, uniforms)
+    ]
 
 
-def _other_value(value: int, k: int, rng: np.random.Generator) -> int:
-    """A uniformly random value of a k-valued variable other than `value`."""
-    alt = int(rng.integers(k - 1))
+def _other_value(value: int, k: int, u: float) -> int:
+    """The value of a k-valued variable other than `value` that a uniform u
+    in [0, 1) picks; each of the k - 1 others with equal probability."""
+    alt = int(u * (k - 1))
     return alt if alt < value else alt + 1
 
 
@@ -129,29 +138,48 @@ def next_generation(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Elites pass through with their accumulated stats; the remaining slots
     are crossover children of elite pairs, then mutated, with no stats yet.
-    Returns (genomes, impressions, conversions); size is unchanged."""
+    Returns (genomes, impressions, conversions); size is unchanged.
+
+    One rng.random block drives the whole generation. Each child's row holds
+    two parent-pair uniforms, one crossover and one mutation uniform per
+    gene, then the gene and value uniforms of its first dedupe nudge; any
+    later nudge of the same child draws fresh.
+    """
     if not elite_indices:
         raise ValueError("no elites available to breed from")
     carried = np.array(elite_indices)
     elites = genomes[carried].tolist()
+    cards = space.cardinalities
+    n_vars = len(cards)
+    # C-order strides: a genome's flat id is its dot product with these.
+    strides = [math.prod(cards[i + 1 :]) for i in range(n_vars)]
     rows = list(elites)
-    seen = {tuple(row) for row in rows}
-    while len(rows) < len(genomes):
-        if len(elites) >= 2:
-            i, j = rng.choice(len(elites), size=2, replace=False)
-        else:
-            i = j = 0
-        child = crossover(elites[i], elites[j], rng)
-        child = mutate(child, config.mutation_rate, space, rng)
+    seen = {sum(map(mul, row, strides)) for row in rows}
+    block = rng.random((len(genomes) - len(rows), 2 * n_vars + 4))
+    for picks, cross, mut, nudge in zip(
+        block[:, :2].tolist(),
+        block[:, 2 : 2 + n_vars].tolist(),
+        block[:, 2 + n_vars : 2 + 2 * n_vars].tolist(),
+        block[:, 2 + 2 * n_vars :].tolist(),
+    ):
+        i, j = parent_pair(*picks, len(elites))
+        child = crossover(elites[i], elites[j], cross)
+        child = mutate(child, config.mutation_rate, space, mut)
+        flat = sum(map(mul, child, strides))
         # Crossover of a small elite pool mostly reproduces the same few
         # genomes; a duplicate child would just split traffic without adding
-        # information. Force duplicates into an untested neighbor instead.
+        # information. Nudge a duplicate to a one-gene neighbour until it
+        # differs from every genome already in this generation.
         attempts = 0
-        while tuple(child) in seen and attempts < 64:
-            gene = int(rng.integers(len(child)))
-            child[gene] = _other_value(child[gene], space.cardinalities[gene], rng)
+        while flat in seen and attempts < 64:
+            if attempts:
+                nudge = rng.random(2).tolist()
+            gene = int(nudge[0] * n_vars)
+            old = child[gene]
+            child[gene] = _other_value(old, cards[gene], nudge[1])
+            flat += (child[gene] - old) * strides[gene]
             attempts += 1
-        seen.add(tuple(child))
+        seen.add(flat)
         rows.append(child)
     new_impressions = np.zeros(len(genomes), dtype=impressions.dtype)
     new_conversions = np.zeros(len(genomes), dtype=conversions.dtype)

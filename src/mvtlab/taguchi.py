@@ -150,9 +150,17 @@ def load_array_file(path) -> OrthogonalArray:
 
 
 def load_bundled_array(name: str) -> OrthogonalArray:
-    """Load one of the arrays shipped with the package, e.g. 'oa9_3x4'."""
-    text = resources.files("mvtlab.arrays").joinpath(f"{name}.txt").read_text()
-    return load_array(text)
+    """Load one of the arrays shipped with the package, e.g. 'oa9_3x4'. Only
+    a bundled file's own name is accepted, so no name reaches outside the
+    package's array directory."""
+    files = {
+        f.name.removesuffix(".txt"): f
+        for f in resources.files("mvtlab.arrays").iterdir()
+        if f.name.endswith(".txt")
+    }
+    if name not in files:
+        raise ValueError(f"unknown bundled array {name!r} (bundled: {', '.join(sorted(files))})")
+    return load_array(files[name].read_text())
 
 
 def save_array(a: OrthogonalArray) -> str:

@@ -207,7 +207,7 @@ def test_criterion_9_evolution_structural_suite():
     from_a = sum(
         g == 0
         for _ in range(10_000)
-        for g in evolution_mod.crossover(a, b, freq_rng)
+        for g in evolution_mod.crossover(a, b, freq_rng.random(4))
     )
     crossover_ok = abs(from_a / 40_000 - 0.5) < 0.02
 
@@ -217,7 +217,7 @@ def test_criterion_9_evolution_structural_suite():
     flips = sum(
         g != 0
         for _ in range(100_000)
-        for g in evolution_mod.mutate(base, 0.01, wide, mut_rng)
+        for g in evolution_mod.mutate(base, 0.01, wide, mut_rng.random(10))
     )
     mutation_ok = abs(flips / 1_000_000 - 0.01) < 0.001
 

@@ -1,6 +1,11 @@
 """Elitist evolutionary optimizer tests: structure, operator frequencies,
 determinism, and oracle comparisons at high traffic."""
 
+import itertools
+import math
+from collections import Counter
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -14,12 +19,14 @@ from mvtlab.evolution import (
     init_population,
     mutate,
     next_generation,
+    parent_pair,
     run_evolution,
     select_elites,
     tally,
     undominated,
 )
 from mvtlab.genome import Candidate, SearchSpace
+from mvtlab.harness import PRESETS
 from mvtlab.simstats import (
     PBC_TOL,
     BetaPosterior,
@@ -116,12 +123,12 @@ def test_select_elites_matches_posterior_mean_sort():
 def test_crossover_closure_and_gene_pool():
     rng = rng_for(0)
     a, b = [0, 1, 2, 0], [2, 1, 0, 1]
-    assert crossover(a, a, rng) == a
+    assert crossover(a, a, rng.random(4)) == a
     for _ in range(50):
-        child = crossover(a, b, rng)
+        child = crossover(a, b, rng.random(4))
         assert all(g in (x, y) for g, x, y in zip(child, a, b))
     with pytest.raises(ValueError):
-        crossover(a, [0, 1], rng)
+        crossover(a, [0, 1], rng.random(4))
 
 
 def test_crossover_frequency():
@@ -130,7 +137,7 @@ def test_crossover_frequency():
     from_a = 0
     trials = 10_000
     for _ in range(trials):
-        from_a += sum(g == 0 for g in crossover(a, b, rng))
+        from_a += sum(g == 0 for g in crossover(a, b, rng.random(4)))
     freq = from_a / (4 * trials)
     assert abs(freq - 0.5) < 0.02
 
@@ -139,17 +146,17 @@ def test_mutate_edges():
     space = SearchSpace([2, 2, 2])
     rng = rng_for(1)
     c = [0, 0, 0]
-    assert mutate(c, 0.0, space, rng) == c
-    assert mutate(c, 1.0, space, rng) == [1, 1, 1]
+    assert mutate(c, 0.0, space, rng.random(3)) == c
+    assert mutate(c, 1.0, space, rng.random(3)) == [1, 1, 1]
     with pytest.raises(ValueError):
-        mutate([0, 0], 0.5, space, rng)
+        mutate([0, 0], 0.5, space, rng.random(2))
 
 
 def test_mutate_always_changes_hit_gene():
     space = SearchSpace([5])
     rng = rng_for(2)
     for _ in range(200):
-        out = mutate([3], 1.0, space, rng)
+        out = mutate([3], 1.0, space, rng.random(1))
         assert out[0] != 3
         assert 0 <= out[0] < 5
 
@@ -161,7 +168,7 @@ def test_mutation_frequency():
     flips = 0
     trials = 100_000  # 10^6 gene draws total
     for _ in range(trials):
-        flips += sum(g != 0 for g in mutate(c, 0.01, space, rng))
+        flips += sum(g != 0 for g in mutate(c, 0.01, space, rng.random(10)))
     freq = flips / (10 * trials)
     assert abs(freq - 0.01) < 0.001
 
@@ -204,11 +211,87 @@ def test_next_generation_single_elite_no_mutation():
     cfg = EvolutionConfig(mutation_rate=0.0)
     new_genomes, _, _ = next_generation(genomes, imp, conv, [0], cfg, space, rng_for(3))
     assert new_genomes[0].tolist() == [1, 1]
-    # Crossover of the lone elite with itself reproduces it; duplicates are
-    # pushed to untested neighbors, so children differ from the elite.
+    # Crossover of the lone elite with itself reproduces it; a duplicate is
+    # nudged until it differs from every genome in the generation.
     children = [tuple(g) for g in new_genomes[1:].tolist()]
     assert (1, 1) not in children
     assert len(set(children)) == len(children)
+
+
+def test_parent_pair_frequency():
+    # Every ordered pair of distinct elites at 1/(e(e-1)), within five
+    # standard errors, from the uniforms breeding feeds it; never a self-pair.
+    rng = rng_for(1618)
+    trials = 60_000
+    assert {parent_pair(u, w, 1) for u, w in rng.random((100, 2)).tolist()} == {(0, 0)}
+    for e in (2, 3, 5):
+        pairs = Counter(parent_pair(u, w, e) for u, w in rng.random((trials, 2)).tolist())
+        assert all(i != j for i, j in pairs)
+        p = 1 / (e * (e - 1))
+        tol = 5 * (p * (1 - p) / trials) ** 0.5
+        for i, j in itertools.permutations(range(e), 2):
+            assert abs(pairs[(i, j)] / trials - p) < tol, (e, i, j)
+
+
+@st.composite
+def breeding_cases(draw):
+    """(space, distinct genomes, elite indices, mutation rate, seed)."""
+    space = SearchSpace(draw(st.lists(st.integers(2, 6), min_size=1, max_size=6)))
+    n_cells = space.total_combinations
+    ids = draw(st.lists(st.integers(0, n_cells - 1), min_size=1, max_size=25, unique=True))
+    genomes = np.transpose(np.unravel_index(ids, space.cardinalities)).reshape(len(ids), -1)
+    elites = draw(st.lists(st.sampled_from(range(len(ids))), min_size=1, unique=True))
+    rate = draw(st.sampled_from([0.0, 0.01, 1.0]))
+    return space, genomes, elites, rate, draw(st.integers(0, 2**32))
+
+
+@settings(max_examples=200, deadline=None)
+@given(breeding_cases())
+def test_next_generation_property(case):
+    space, genomes, elites, rate, seed = case
+    imp = np.arange(len(genomes)) + 10
+    conv = np.arange(len(genomes))
+    calls = []
+
+    def spy(a, b, uniforms):
+        calls.append((a, b, crossover(a, b, uniforms)))
+        return calls[-1][2]
+
+    with mock.patch.object(evolution, "crossover", spy):
+        new, new_imp, new_conv = next_generation(
+            genomes, imp, conv, elites, EvolutionConfig(mutation_rate=rate), space, rng_for(seed)
+        )
+    e = len(elites)
+    assert new.shape == genomes.shape
+    assert new[:e].tolist() == genomes[elites].tolist()
+    assert new_imp[:e].tolist() == imp[elites].tolist()
+    assert new_conv[:e].tolist() == conv[elites].tolist()
+    assert not new_imp[e:].any() and not new_conv[e:].any()
+    assert ((new >= 0) & (new < np.array(space.cardinalities))).all()
+    elite_rows = genomes[elites].tolist()
+    assert len(calls) == len(genomes) - e
+    rows = new.tolist()
+    for n, (a, b, bred) in enumerate(calls, start=e):
+        assert a in elite_rows and b in elite_rows and (a != b or e == 1)
+        if rate == 0.0:
+            # A child differs from its crossover only when the crossover
+            # duplicated a genome already in the generation and was nudged.
+            assert rows[n] == bred or bred in rows[:n]
+            assert all(g in (x, y) for g, x, y in zip(bred, a, b))
+
+
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_next_generation_rows_distinct_on_preset_spaces(preset):
+    space = PRESETS[preset].space
+    cfg = EvolutionConfig()
+    genomes = init_population(space)
+    imp, conv = np.ones(len(genomes), dtype=int), np.zeros(len(genomes), dtype=int)
+    n_elites = math.ceil(cfg.elite_fraction * len(genomes))
+    rng = rng_for(42)
+    for _ in range(200):
+        elites = rng.permutation(len(genomes))[:n_elites].tolist()
+        genomes, imp, conv = next_generation(genomes, imp, conv, elites, cfg, space, rng)
+        assert len({tuple(g) for g in genomes.tolist()}) == len(genomes)
 
 
 def run_once(space, seed, total=100_000, cfg=None):

@@ -4,10 +4,13 @@ the checked-in CSV byte for byte.
 After a deliberate behaviour change, regenerate a golden with
 `PYTHONPATH=src python -m mvtlab.cli run <preset> --out DIR` from a source
 checkout (or `python -m mvtlab.cli run <preset> --out DIR` after
-`pip install -e .`), copy DIR/<preset>.csv into tests/golden/, and explain
-the diff in CHANGES.md.
+`pip install -e .`), summarise the diff with
+`python scripts/golden_diff.py DIR` (rows moved, methods moved, max
+|delta mean| per preset), copy DIR/<preset>.csv into tests/golden/, and
+explain the diff in CHANGES.md.
 """
 
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -34,3 +37,31 @@ def test_preset_matches_golden_csv(preset, request, tmp_path):
     path = tmp_path / f"{preset}.csv"
     emit_csv(series, path)
     assert path.read_bytes() == (GOLDEN / f"{preset}.csv").read_bytes()
+
+
+def test_golden_diff_summary(tmp_path, monkeypatch, capsys):
+    spec = importlib.util.spec_from_file_location(
+        "golden_diff", Path(__file__).resolve().parents[1] / "scripts" / "golden_diff.py"
+    )
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    golden = (
+        "traffic,method,mean,lo,hi\n"
+        "1000,evolution,0.050000,0.040000,0.060000\n"
+        "1000,taguchi-predict,0.052000,0.041000,0.061000\n"
+        "1000,taguchi-candidate,0.051000,0.040000,0.062000\n"
+    )
+    fresh = golden.replace("0.050000,0.040000", "0.053500,0.040000")
+    assert script.compare(golden, golden) == (0, 3, [], 0.0)
+    moved, total, methods, delta = script.compare(fresh, golden)
+    assert (moved, total, methods) == (1, 3, ["evolution"])
+    assert abs(delta - 0.0035) < 1e-12
+
+    monkeypatch.setattr(script, "GOLDEN", tmp_path / "golden")
+    script.GOLDEN.mkdir()
+    (script.GOLDEN / "demo.csv").write_text(golden)
+    (tmp_path / "demo.csv").write_text(fresh)
+    assert script.main([str(tmp_path)]) == 0
+    assert capsys.readouterr().out == (
+        "demo: 1/3 rows moved, methods moved: evolution, max |delta mean| 0.0035\n"
+    )

@@ -349,6 +349,8 @@ def test_cli_run_config_errors_are_one_line(tmp_path, capsys):
         "levels": "space = [3, 3, 3, 3]\narray = oa4_2x3\n",
         "cap": "space = [10, 10, 10, 10, 10, 10, 10, 10]\narray = oa4_2x3\n",
         "missing": "space = [2, 2, 2]\narray = no/such/array.txt\n",
+        "bundled": "space = [2, 2, 2]\narray = nope\n",
+        "escape": "space = [2, 2, 2]\narray = /tmp/../etc\n",
         "bias": "space = [2, 2, 2]\narray = oa4_2x3\nbias = 1.5\n",
         "delta_pair": "space = [2, 2, 2]\narray = oa4_2x3\ndelta_pair = -1\n",
         "bias_text": "space = [2, 2, 2]\narray = oa4_2x3\nbias = high\n",

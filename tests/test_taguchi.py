@@ -46,6 +46,15 @@ def test_load_nine_row_array(nine_row):
     assert nine_row.column_levels == (3, 3, 3, 3)
 
 
+def test_load_bundled_array_accepts_only_bundled_names():
+    assert load_bundled_array("oa4_2x3").n_rows == 4
+    listing = "(bundled: oa16_4x5, oa36_base, oa36_mixed, oa4_2x3, oa9_3x4)"
+    for name in ("nope", "/tmp/../etc", "../arrays/oa4_2x3", "oa4_2x3.txt"):
+        with pytest.raises(ValueError) as info:
+            load_bundled_array(name)
+        assert str(info.value) == f"unknown bundled array {name!r} {listing}"
+
+
 def test_load_l4():
     a = load_array(L4_TEXT)
     assert a.n_rows == 4
