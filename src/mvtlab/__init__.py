@@ -7,6 +7,6 @@ __version__ = "0.1.0"
 from .evaluator import Evaluator, WeightConfig, brute_force_best, sample_evaluator
 from .evolution import EvolutionConfig, run_evolution
 from .genome import Candidate, SearchSpace, control, one_gene_variants
-from .harness import ExperimentConfig, PRESETS, run_comparison, run_during_experiment_curve
+from .harness import ExperimentConfig, PRESETS, result_series, sweep
 from .simstats import BetaPosterior, prob_beats_control
 from .taguchi import OrthogonalArray, load_array, main_effect, predict_best, validate

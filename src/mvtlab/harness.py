@@ -39,6 +39,16 @@ DEFAULT_TRAFFIC_SWEEP = (
     1_000, 3_000, 10_000, 30_000, 100_000, 300_000, 1_000_000, 3_000_000, 10_000_000
 )
 
+# Curve kind -> {CSV method: the sweep measurement it reports}, in CSV order.
+CURVES = {
+    "comparison": {
+        "evolution": "winner_cr",
+        "taguchi-predict": "predict_cr",
+        "taguchi-candidate": "candidate_cr",
+    },
+    "during": {"evolution": "evolution_served", "taguchi": "taguchi_served"},
+}
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -52,7 +62,7 @@ class ExperimentConfig:
     repetitions: int = 20
     master_seed: int = 2024
     fixed_evaluator: bool = False
-    curve: str = "comparison"  # or "during"
+    curve: str = "comparison"  # a key of CURVES
     out_dir: str = "out"
 
     def __post_init__(self):
@@ -67,7 +77,7 @@ class ExperimentConfig:
             raise ValueError("traffic sweep needs at least one level")
         if list(self.traffic) != sorted(set(self.traffic)):
             raise ValueError("traffic sweep must be strictly increasing")
-        if self.curve not in ("comparison", "during"):
+        if self.curve not in CURVES:
             raise ValueError(f"unknown curve kind {self.curve!r}")
         if self.mode not in (LINEAR, NONLINEAR):
             raise ValueError(f"unknown mode {self.mode!r}; use {LINEAR} or {NONLINEAR}")
@@ -111,15 +121,9 @@ class ExperimentConfig:
 class ResultSeries:
     traffic: tuple[int, ...]
     methods: tuple[str, ...]
-    points: dict  # method -> tuple of (mean, lo, hi) per traffic value
-
-    def __post_init__(self):
-        for method in self.methods:
-            for mean, lo, hi in self.points[method]:
-                if not lo - 1e-12 <= mean <= hi + 1e-12:
-                    raise ValueError(
-                        f"interval violation for {method}: {lo} <= {mean} <= {hi}"
-                    )
+    # method -> (mean, lo, hi) per traffic value; lo and hi are the 2.5th and
+    # 97.5th percentiles, which need not bracket the mean
+    points: dict
 
 
 PRESETS: dict[str, ExperimentConfig] = {
@@ -162,22 +166,16 @@ def _evaluator_for(config: ExperimentConfig, rep: int) -> Evaluator:
     return sample_evaluator(config.space, config.mode, config.weights, seed)
 
 
-@dataclass(frozen=True)
-class TaguchiArmResult:
-    predict_cr: float
-    candidate_cr: float
-    served_avg_cr: float  # impression-weighted true CR over all served traffic
-
-
 def run_taguchi_arm(
     array: OrthogonalArray,
     evaluator: Evaluator,
     total_traffic: int,
     rng: np.random.Generator,
-) -> TaguchiArmResult:
+) -> dict[str, float]:
     """Spread traffic evenly over the array rows, observe conversions, score
     rows by observed rate, and read off the predicted-best and best-tested
-    candidates' true conversion rates."""
+    candidates' true conversion rates, plus the impression-weighted true
+    conversion rate of all traffic served."""
     if array.column_levels != evaluator.space.cardinalities:
         raise ValueError(
             f"array levels {array.column_levels} do not match "
@@ -188,17 +186,11 @@ def run_taguchi_arm(
     conversions = simulate_conversions(true_crs, allocation, rng)
     scores = [c / n for c, n in zip(conversions.tolist(), allocation)]
     served = sum(n * cr for n, cr in zip(allocation, true_crs.tolist())) / total_traffic
-    return TaguchiArmResult(
-        predict_cr=evaluator.true_cr(predict_best(array, scores)),
-        candidate_cr=evaluator.true_cr(best_tested(array, scores)),
-        served_avg_cr=served,
-    )
-
-
-@dataclass(frozen=True)
-class EvolutionArmResult:
-    winner_cr: float
-    served_avg_cr: float
+    return {
+        "predict_cr": evaluator.true_cr(predict_best(array, scores)),
+        "candidate_cr": evaluator.true_cr(best_tested(array, scores)),
+        "taguchi_served": served,
+    }
 
 
 def run_evolution_arm(
@@ -206,7 +198,10 @@ def run_evolution_arm(
     evaluator: Evaluator,
     total_traffic: int,
     rng: np.random.Generator,
-) -> EvolutionArmResult:
+) -> dict[str, float]:
+    """Run the evolutionary optimizer on the traffic plan and read off its
+    winner's true conversion rate and the impression-weighted true
+    conversion rate of all traffic served."""
     pop_size = sum(k - 1 for k in config.space.cardinalities)
     plan = allocate_evolution(total_traffic, config.evolution.generations, pop_size)
     result = run_evolution(evaluator, plan, config.evolution, rng)
@@ -214,21 +209,22 @@ def run_evolution_arm(
     for record, slots in zip(result.records, plan):
         for impressions, cr in zip(slots, record.true_crs.tolist()):
             served += impressions * cr
-    return EvolutionArmResult(
-        winner_cr=evaluator.true_cr(result.winner),
-        served_avg_cr=served / total_traffic,
-    )
+    return {
+        "winner_cr": evaluator.true_cr(result.winner),
+        "evolution_served": served / total_traffic,
+    }
 
 
-def _sweep(config: ExperimentConfig, metrics):
-    """Shared sweep loop: metrics maps (tag_result, evo_result) to a dict of
-    method -> measurement; both arms share the evaluator and total traffic.
+def sweep(config: ExperimentConfig) -> dict[str, np.ndarray]:
+    """Every cell of the experiment: measurement name -> float64 array of
+    shape (repetitions, traffic levels). Both arms of a cell share the
+    evaluator and total traffic.
 
     Repetitions run outermost, so each repetition's landscape is built once
     and serves every traffic level; every cell still has its own seeds."""
     array = config.load_design()
-    # per_level[t_idx][method]: one value per repetition, in repetition order
-    per_level: list[dict[str, list[float]]] = [{} for _ in config.traffic]
+    shape = (config.repetitions, len(config.traffic))
+    cells = {name: np.empty(shape) for curve in CURVES.values() for name in curve.values()}
     for rep in range(config.repetitions):
         evaluator = _evaluator_for(config, rep)
         for t_idx, total in enumerate(config.traffic):
@@ -238,44 +234,26 @@ def _sweep(config: ExperimentConfig, metrics):
             evo_rng = np.random.Generator(
                 np.random.PCG64(_derived_seed(config.master_seed, 303, t_idx, rep))
             )
-            tag = run_taguchi_arm(array, evaluator, total, tag_rng)
-            evo = run_evolution_arm(config, evaluator, total, evo_rng)
-            for method, value in metrics(tag, evo).items():
-                per_level[t_idx].setdefault(method, []).append(value)
-    per_method: dict[str, list[list[float]]] = {}
-    for rep_values in per_level:
-        for method, values in rep_values.items():
-            per_method.setdefault(method, []).append(list(aggregate_runs(values)))
-    methods = tuple(per_method)
+            measured = run_taguchi_arm(array, evaluator, total, tag_rng)
+            measured.update(run_evolution_arm(config, evaluator, total, evo_rng))
+            for name, value in measured.items():
+                cells[name][rep, t_idx] = value
+    return cells
+
+
+def result_series(config: ExperimentConfig, cells: dict[str, np.ndarray]) -> ResultSeries:
+    """The curve `config.curve` names, read from `sweep(config)`: per method
+    and traffic level, the mean and percentile band over repetitions, taken
+    in repetition order."""
+    methods = CURVES[config.curve]
     return ResultSeries(
         traffic=tuple(config.traffic),
-        methods=methods,
-        points={m: tuple(tuple(p) for p in per_method[m]) for m in methods},
+        methods=tuple(methods),
+        points={
+            method: tuple(aggregate_runs(column) for column in cells[name].T)
+            for method, name in methods.items()
+        },
     )
-
-
-def run_comparison(config: ExperimentConfig) -> ResultSeries:
-    """End-of-experiment comparison: winner / predicted-best / best-tested
-    true conversion rates across the traffic sweep."""
-
-    def metrics(tag: TaguchiArmResult, evo: EvolutionArmResult):
-        return {
-            "evolution": evo.winner_cr,
-            "taguchi-predict": tag.predict_cr,
-            "taguchi-candidate": tag.candidate_cr,
-        }
-
-    return _sweep(config, metrics)
-
-
-def run_during_experiment_curve(config: ExperimentConfig) -> ResultSeries:
-    """Impression-weighted mean true conversion rate of all traffic served
-    during the experiment, per method."""
-
-    def metrics(tag: TaguchiArmResult, evo: EvolutionArmResult):
-        return {"evolution": evo.served_avg_cr, "taguchi": tag.served_avg_cr}
-
-    return _sweep(config, metrics)
 
 
 def emit_csv(series: ResultSeries, path) -> None:
@@ -377,10 +355,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
     into the output directory. Returns the output paths."""
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    if config.curve == "during":
-        series = run_during_experiment_curve(config)
-    else:
-        series = run_comparison(config)
+    series = result_series(config, sweep(config))
     csv_path = out / f"{config.name}.csv"
     svg_path = out / f"{config.name}.svg"
     manifest_path = out / f"{config.name}.manifest.json"
@@ -497,8 +472,8 @@ def parse_config(text: str, name: str = "custom", overrides=None) -> ExperimentC
     values = {"name": name}
     set_on: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        line = raw.strip()
+        if not line or line.startswith("#"):
             continue
         if "=" not in line:
             raise ValueError(f"line {lineno}: expected key = value")
@@ -509,9 +484,9 @@ def parse_config(text: str, name: str = "custom", overrides=None) -> ExperimentC
         if key in set_on:
             raise ValueError(f"line {lineno}: key {key!r} already set on line {set_on[key]}")
         set_on[key] = lineno
-        try:
+        try:  # a literal may be followed by a comment and may contain a `#`
             values[key] = ast.literal_eval(rhs.strip())
-        except (ValueError, SyntaxError):
-            values[key] = rhs.strip()  # bare strings (array names, modes)
+        except (ValueError, SyntaxError):  # bare strings (array names, modes)
+            values[key] = rhs.split("#", 1)[0].strip()
     values.update(overrides or {})
     return configure(values)

@@ -1,30 +1,38 @@
 """The names the benchmark's tracer (perfbench/tracing.py) looks up in
-mvtlab must keep resolving, and a traced evolution run must keep working:
-a rename or a changed result shape would otherwise break the benchmark's
-traced runs without failing any other test. The tracer is imported, never
-edited."""
+mvtlab must keep resolving, a traced evolution run must keep working, and
+the benchmark's set-up code (SETUP_CODE in perfbench/run.py) must keep
+running for every workload: a rename or a changed result shape would
+otherwise break the benchmark without failing any other test. The
+benchmark's files are imported, never edited."""
 
 import importlib.util
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-import mvtlab.cli  # noqa: F401  (the tracer resolves names through sys.modules)
+import mvtlab.cli  # the tracer resolves names through sys.modules
 from mvtlab import evolution
 from mvtlab.evaluator import LINEAR, sample_evaluator
 from mvtlab.genome import SearchSpace
 from mvtlab.simstats import allocate_evolution
 
-TRACING = Path(__file__).parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).parents[1] / "perfbench"
+
+
+def load(name):
+    """perfbench/<name>.py, imported as the module perfbench_<name>."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="module")
 def tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load("tracing")
 
 
 def test_traced_names_resolve(tracing):
@@ -47,3 +55,16 @@ def test_traced_evolution_run(tracing):
     summary = tracer.summary()
     for name in ("evolution.run_evolution", "evolution.select_elites", "simstats.global_prior"):
         assert summary[name]["calls"] >= 1, name
+
+
+def test_setup_code_runs_for_every_workload(tracing, monkeypatch, capsys):
+    # run.py imports the tracer by its bare module name.
+    monkeypatch.setitem(sys.modules, "tracing", tracing)
+    bench = load("run")
+    monkeypatch.setattr(sys, "path", list(sys.path))  # SETUP_CODE prepends to it
+    for name, workload in bench.WORKLOADS.items():
+        monkeypatch.setattr(sys, "argv", ["-c", str(bench.SRC), workload.preset, "7"])
+        exec(bench.SETUP_CODE, {})
+        seconds, module_file = capsys.readouterr().out.split()
+        assert float(seconds) >= 0, name
+        assert Path(module_file) == Path(mvtlab.cli.__file__), name

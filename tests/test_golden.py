@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from mvtlab.harness import PRESETS, emit_csv, run_comparison
+from mvtlab.harness import PRESETS, emit_csv, result_series, sweep
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -33,7 +33,7 @@ def test_preset_matches_golden_csv(preset, request, tmp_path):
     if preset in SHARED_SERIES:
         series = request.getfixturevalue(SHARED_SERIES[preset])
     else:
-        series = run_comparison(PRESETS[preset])
+        series = result_series(PRESETS[preset], sweep(PRESETS[preset]))
     path = tmp_path / f"{preset}.csv"
     emit_csv(series, path)
     assert path.read_bytes() == (GOLDEN / f"{preset}.csv").read_bytes()

@@ -22,6 +22,7 @@ from mvtlab.evaluator import (
 from mvtlab.evolution import EvolutionConfig
 from mvtlab.genome import SearchSpace
 from mvtlab.harness import (
+    CURVES,
     DEFAULT_TRAFFIC_SWEEP,
     PRESETS,
     ExperimentConfig,
@@ -30,11 +31,12 @@ from mvtlab.harness import (
     emit_csv,
     emit_svg,
     parse_config,
-    run_comparison,
-    run_during_experiment_curve,
+    result_series,
     run_experiment,
     run_taguchi_arm,
+    sweep,
 )
+from mvtlab.simstats import aggregate_runs
 from mvtlab.taguchi import load_bundled_array
 
 SMOKE = dict(traffic=(2_000, 20_000), repetitions=3)
@@ -42,6 +44,11 @@ SMOKE = dict(traffic=(2_000, 20_000), repetitions=3)
 
 def smoke_config(preset, **overrides):
     return replace(PRESETS[preset], **{**SMOKE, **overrides})
+
+
+def smoke_series(preset, **overrides):
+    config = smoke_config(preset, **overrides)
+    return result_series(config, sweep(config))
 
 
 def test_presets_cover_paper_settings():
@@ -97,7 +104,7 @@ def test_config_design_checks():
     with pytest.raises(ValueError, match="do not match"):
         mismatch.load_design()
     with pytest.raises(ValueError, match="do not match"):
-        run_comparison(mismatch)
+        sweep(mismatch)
     few = replace(
         PRESETS["setting1-linear"], evolution=EvolutionConfig(generations=1), traffic=(3, 10)
     )
@@ -125,12 +132,32 @@ def test_taguchi_arm_noiseless_predict_hits_oracle():
         rng = np.random.Generator(np.random.PCG64(seed))
         result = run_taguchi_arm(array, ev, 90_000_000, rng)
         _, opt = brute_force_best(ev)
-        hits += result.predict_cr == pytest.approx(opt)
+        hits += result["predict_cr"] == pytest.approx(opt)
     assert hits >= 9
 
 
+def test_sweep_is_one_table_for_every_curve():
+    config = smoke_config("mixed-linear")
+    cells = sweep(config)
+    assert set(cells) == {
+        "predict_cr", "candidate_cr", "taguchi_served", "winner_cr", "evolution_served",
+    }
+    for column in cells.values():
+        assert column.dtype == np.float64 and column.shape == (3, 2)
+        assert np.all((column >= 0.001) & (column <= 0.999))
+    # Each curve aggregates its methods' columns, repetitions in order.
+    for curve, methods in CURVES.items():
+        series = result_series(replace(config, curve=curve), cells)
+        assert series.methods == tuple(methods)
+        for method, name in methods.items():
+            assert series.points[method] == (
+                aggregate_runs(cells[name][:, 0].tolist()),
+                aggregate_runs(cells[name][:, 1].tolist()),
+            )
+
+
 def test_comparison_series_shape():
-    series = run_comparison(smoke_config("setting1-linear"))
+    series = smoke_series("setting1-linear")
     assert series.traffic == (2_000, 20_000)
     assert set(series.methods) == {"evolution", "taguchi-predict", "taguchi-candidate"}
     for method in series.methods:
@@ -141,21 +168,29 @@ def test_comparison_series_shape():
 
 
 def test_during_series_shape():
-    series = run_during_experiment_curve(smoke_config("during-experiment"))
+    series = smoke_series("during-experiment")
     assert set(series.methods) == {"evolution", "taguchi"}
 
 
-def test_result_series_rejects_interval_violation():
-    with pytest.raises(ValueError):
-        ResultSeries(
-            traffic=(10,),
-            methods=("evolution",),
-            points={"evolution": ((0.5, 0.6, 0.7),)},
-        )
+def test_mean_outside_percentile_band_is_written(tmp_path):
+    # The band is the 2.5th-97.5th percentile of the repetitions, not an
+    # interval around the mean: from 41 repetitions on, one outlying
+    # repetition moves the mean but not the band. On one fixed landscape
+    # most repetitions find the same optimum, so this run has such rows.
+    config = replace(
+        PRESETS["setting1-linear"], fixed_evaluator=True, repetitions=41, master_seed=3,
+        traffic=(1_000, 10_000, 100_000), out_dir=str(tmp_path),
+    )
+    rows = [
+        [float(v) for v in line.split(",")[2:]]
+        for line in run_experiment(config)["csv"].read_text().splitlines()[1:]
+    ]
+    assert len(rows) == 9
+    assert [row for row in rows if not row[1] <= row[0] <= row[2]]
 
 
 def test_emit_csv_format(tmp_path):
-    series = run_comparison(smoke_config("setting1-linear"))
+    series = smoke_series("setting1-linear")
     path = tmp_path / "out.csv"
     emit_csv(series, path)
     lines = path.read_text().splitlines()
@@ -166,7 +201,7 @@ def test_emit_csv_format(tmp_path):
 
 
 def test_emit_svg_well_formed(tmp_path):
-    series = run_comparison(smoke_config("setting1-linear"))
+    series = smoke_series("setting1-linear")
     path = tmp_path / "out.svg"
     emit_svg(series, path, title="smoke")
     root = ET.parse(path).getroot()
@@ -202,9 +237,9 @@ def test_rerun_is_byte_identical(tmp_path):
 
 
 def test_fixed_evaluator_flag_changes_results():
-    base = smoke_config("setting2-linear", traffic=(20_000,), repetitions=4)
-    resampled = run_comparison(base)
-    fixed = run_comparison(replace(base, fixed_evaluator=True))
+    base = dict(traffic=(20_000,), repetitions=4)
+    resampled = smoke_series("setting2-linear", **base)
+    fixed = smoke_series("setting2-linear", **base, fixed_evaluator=True)
     assert resampled.points != fixed.points
 
 
@@ -237,6 +272,16 @@ def test_parse_config_round_trip():
     assert (cfg.curve, cfg.out_dir) == ("comparison", "out")
     # a value ending in .txt names a file, anything else a bundled array
     assert parse_config("space = [2,2]\narray = arrays/mine.txt").array == "arrays/mine.txt"
+    # `#` inside a quoted value is part of it; after a value it starts a comment
+    quoted = parse_config(
+        'space = [2,2]\nname = "a#b"\nout = "runs#1"  # where\n'
+        "  # an indented comment line\n"
+        "repetitions = 4  # four\nmode = nonlinear  # or linear\n"
+        "array = arrays/mine.txt # a file\ntraffic = (1000, 2000)  # two levels\n"
+    )
+    assert (quoted.name, quoted.out_dir) == ("a#b", "runs#1")
+    assert (quoted.repetitions, quoted.mode) == (4, "nonlinear")
+    assert (quoted.array, quoted.traffic) == ("arrays/mine.txt", (1000, 2000))
 
 
 def test_parse_config_errors():
