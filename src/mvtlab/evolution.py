@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from operator import mul
 
 import numpy as np
@@ -185,7 +186,8 @@ def next_generation(
     new_conversions = np.zeros(len(genomes), dtype=conversions.dtype)
     new_impressions[: len(carried)] = impressions[carried]
     new_conversions[: len(carried)] = conversions[carried]
-    return np.array(rows), new_impressions, new_conversions
+    bred = np.fromiter(chain.from_iterable(rows), np.int64, len(rows) * n_vars)
+    return bred.reshape(len(rows), n_vars), new_impressions, new_conversions
 
 
 def undominated(conversions: list[int], failures: list[int]) -> list[int]:

@@ -153,6 +153,12 @@ PRESETS: dict[str, ExperimentConfig] = {
         array="oa36_mixed",
         curve="during",
     ),
+    "mixed-lowcr": ExperimentConfig(
+        name="mixed-lowcr",
+        space=SearchSpace([3, 6, 2, 3, 6, 2, 2, 6]),
+        array="oa36_mixed",
+        weights=WeightConfig(bias=0.002, delta_main=0.0002),
+    ),
 }
 
 

@@ -3,7 +3,6 @@ inference, including the probability-to-beat-control computation."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,6 +101,9 @@ _GL_NODES = np.concatenate([_X64, _X96])
 _GL_WEIGHTS = np.concatenate([_W64, _W96])
 # Weighted density at or below which a node skips its betainc evaluation.
 _NEGLIGIBLE = 1e-20
+# Split budget of a pair the fixed rules cannot resolve: levels, live pieces.
+_MAX_SPLITS = 40
+_MAX_PIECES = 1000
 
 
 def prob_beats_control(cand: BetaPosterior, control: BetaPosterior) -> float:
@@ -116,11 +118,12 @@ def prob_beats_control_many(alphas, betas, control: BetaPosterior) -> np.ndarray
     Each pair is integrated over whichever density is narrower, on its
     16-standard-deviation window, with fixed 64- and 96-node Gauss-Legendre
     rules; when the candidate is the narrower one the result is
-    1 - P(control > candidate). Pairs whose two rules disagree by more than
-    PBC_TOL / 10 (the absolute tolerance the adaptive fallback is asked
-    for), or whose integrated density is unbounded (a shape below 1), fall
-    back to adaptive quadrature. Deterministic, so seeded runs stay
-    bit-for-bit reproducible.
+    1 - P(control > candidate). A pair whose two rules disagree by more than
+    PBC_TOL / 10, or whose integrated density is unbounded (a shape below
+    1), is integrated again over the whole unit interval by the same rules
+    in substituted variables, bisecting the pieces they cannot resolve
+    (_upper_prob_split). Deterministic, so seeded runs stay bit-for-bit
+    reproducible.
     """
     a_c = np.asarray(alphas, dtype=float)
     b_c = np.asarray(betas, dtype=float)
@@ -147,7 +150,7 @@ def prob_beats_control_many(alphas, betas, control: BetaPosterior) -> np.ndarray
     # _NEGLIGIBLE adds at most that much to its rule's value, since the upper
     # tail is at most 1; skipping betainc there moves the 64- and 96-node
     # values by at most 160 * _NEGLIGIBLE together. A NaN density is not
-    # live, and its NaN product below still forces the fallback.
+    # live, and its NaN product below still sends the pair to the split pass.
     rows, cols = np.nonzero(pdf * _GL_WEIGHTS * half[:, None] > _NEGLIGIBLE)
     upper = np.zeros_like(y)
     # 1 - betainc rather than betaincc: the complement is several times
@@ -168,13 +171,14 @@ def prob_beats_control_many(alphas, betas, control: BetaPosterior) -> np.ndarray
         1.0 - special.betainc(a_tail, b_tail, hi)
     )
     upper_prob = v96 + tails
-    pbc = np.where(cand_narrower, 1.0 - upper_prob, upper_prob)
 
-    # NaN compares false, so a non-finite estimate also falls back.
+    # NaN compares false, so a non-finite estimate is also redone.
     agree = np.abs(v64 - v96) <= PBC_TOL / 10
-    for i in np.flatnonzero(~agree | (a_int < 1.0) | (b_int < 1.0)):
-        cand = BetaPosterior(float(a_c[i]), float(b_c[i]))
-        pbc[i] = _prob_beats_control_quad(cand, control)
+    redo = ~agree | (a_int < 1.0) | (b_int < 1.0)
+    if redo.any():
+        pairs = (x[redo] for x in (a_int, b_int, a_tail, b_tail))
+        upper_prob[redo] = _upper_prob_split(*pairs)
+    pbc = np.where(cand_narrower, 1.0 - upper_prob, upper_prob)
     return np.clip(pbc, 0.0, 1.0)
 
 
@@ -183,54 +187,67 @@ def _variance(a, b):
     return m * (1.0 - m) / (a + b + 1.0)
 
 
-def _prob_beats_control_quad(cand: BetaPosterior, control: BetaPosterior) -> float:
-    """Adaptive-quadrature P(candidate CR > control CR): the fallback for
-    pairs the fixed rules cannot resolve, and the tests' reference. Like the
-    fixed rules it integrates over the narrower density."""
-    if _variance(cand.alpha, cand.beta) < _variance(control.alpha, control.beta):
-        return 1.0 - _upper_prob_quad(cand, control)
-    return _upper_prob_quad(control, cand)
-
-
-def _upper_prob_quad(inner: BetaPosterior, outer: BetaPosterior) -> float:
-    """P(outer CR > inner CR) by adaptive quadrature of the inner density
-    against the outer's upper tail, absolute tolerance 1e-6."""
-    from scipy import integrate
-
-    a1, b1 = inner.alpha, inner.beta
-    a2, b2 = outer.alpha, outer.beta
-    log_norm = special.betaln(a1, b1)
-
-    def integrand(y):
-        if y <= 0.0 or y >= 1.0:
-            return 0.0
-        log_pdf = (a1 - 1.0) * math.log(y) + (b1 - 1.0) * math.log1p(-y) - log_norm
-        return math.exp(log_pdf) * (1.0 - special.betainc(a2, b2, y))
-
-    # Restrict to where the inner density has mass; for large counts the
-    # distribution is a narrow spike and whole-interval quadrature would
-    # spend hundreds of subdivisions finding it. Truncation at 16 standard
-    # deviations costs far less than the 1e-6 tolerance.
-    m = inner.mean
-    sd = math.sqrt(_variance(a1, b1))
-    lo = max(0.0, m - _WINDOW_SD * sd)
-    hi = min(1.0, m + _WINDOW_SD * sd)
-    pts = [p for p in sorted({m, outer.mean}) if lo < p < hi]
-    tail_below = special.betainc(a1, b1, lo) if lo > 0.0 else 0.0
-    tail_above = 1.0 - special.betainc(a1, b1, hi) if hi < 1.0 else 0.0
-    value, err = integrate.quad(
-        integrand, lo, hi, points=pts or None, epsabs=PBC_TOL / 10, limit=200
-    )
-    # Inner mass below lo almost surely loses; above hi it almost surely
-    # wins only if the outer density sits higher, bounded either way by the
-    # tail.
-    value += tail_below * (1.0 - special.betainc(a2, b2, lo))
-    value += tail_above * (1.0 - special.betainc(a2, b2, hi))
-    if err > PBC_TOL:
-        raise QuadratureError(
-            f"beat-control integral error estimate {err:.2e} exceeds {PBC_TOL}"
-        )
-    return min(max(value, 0.0), 1.0)
+def _upper_prob_split(a, b, a2, b2):
+    """P(Beta(a2, b2) > Beta(a, b)) = I(m; a, b) - Q(left) + Q(right), m the
+    first density's mean; the right half is posed in z = 1 - y, which swaps
+    both densities' shapes. Q = P(Z2 < Z < zm), Z ~ Beta(a, b), Z2 ~ Beta(a2,
+    b2), zm = m or 1 - m, integrates f(z) I(z; a2, b2), whose singular
+    factors at z = 0 multiply, in t = (z / zm)^p with p = a + a2 below 2
+    (else 1), which makes their leading term constant. A pair's starting
+    pieces on both halves share PBC_TOL / 10 equally; a piece whose 64- and
+    96-node values disagree by more than its share is bisected, each half
+    with half of it. Nothing here depends on the other pairs of the batch.
+    """
+    n = len(a)
+    sd = np.tile(np.sqrt(_variance(a, b)), 2)[:, None]
+    a, b, a2, b2 = (np.concatenate(x) for x in ((a, b), (b, a), (a2, b2), (b2, a2)))
+    zm = a / (a + b)
+    p = np.where(a + a2 < 2.0, a + a2, 1.0)
+    # Pieces end 16, 64, ..., 16 * 4^20 sd below zm, for a narrow peak and the
+    # long tail of a shape below 1, and at zm / 4, zm / 16, ... down to t =
+    # 1/4, where a small p squeezes the regular factors into a layer at t = 1.
+    scale = 4.0 ** np.arange(21)
+    window = (np.maximum(0.0, zm[:, None] - _WINDOW_SD * sd * scale) / zm[:, None]) ** p[:, None]
+    layer = scale ** -p[:, None]
+    edges = np.sort(np.hstack([np.zeros_like(sd), window, layer * (layer > 0.25)]), axis=1)
+    live = edges[:, 1:] > edges[:, :-1]
+    side = np.nonzero(live)[0]
+    t_lo = edges[:, :-1][live]
+    t_hi = edges[:, 1:][live]
+    pieces = live.sum(axis=1)
+    tol = (PBC_TOL / 10 / np.tile(pieces[:n] + pieces[n:], 2))[side]
+    norm = special.betaln(a, b) + np.log(p)
+    norm2 = special.betaln(a2, b2) + np.log(a2)
+    shapes = np.column_stack([a, b, a2, b2, zm, p, norm, norm2])
+    q = np.zeros(2 * n)
+    for _ in range(_MAX_SPLITS):
+        if not len(side) or np.bincount(side % n).max() > _MAX_PIECES:
+            break
+        a_, b_, a2_, b2_, zm_, p_, norm_, norm2_ = shapes[side].T[:, :, None]
+        half = (t_hi - t_lo)[:, None] / 2.0
+        t = (t_hi + t_lo)[:, None] / 2.0 + half * _GL_NODES
+        log_z = np.log(zm_) + np.log(t) / p_
+        z = np.exp(log_z)
+        log_w = a_ * log_z - np.log(t) - norm_ + (b_ - 1.0) * np.log1p(-z)
+        cdf = special.betainc(a2_, b2_, z)
+        # Where z has underflowed the CDF is its leading term z^a2 / (a2 B).
+        tiny = z < np.finfo(float).tiny
+        cdf[tiny] = np.exp((a2_ * log_z - norm2_)[tiny])
+        weighted = np.exp(log_w) * cdf * _GL_WEIGHTS * half
+        v64, v96 = weighted[:, :64].sum(axis=1), weighted[:, 64:].sum(axis=1)
+        if not np.isfinite(v64 + v96).all():
+            raise QuadratureError("beat-control integral is not finite")
+        # A piece's tolerance stops at the rounding of its value.
+        done = np.abs(v64 - v96) <= np.maximum(tol, 1e-10 * np.abs(v96))
+        q += np.bincount(side[done], weights=v96[done], minlength=2 * n)
+        mid = (t_lo + t_hi)[~done] / 2.0
+        side = np.tile(side[~done], 2)
+        tol = np.tile(tol[~done] / 2.0, 2)
+        t_lo = np.concatenate([t_lo[~done], mid])
+        t_hi = np.concatenate([mid, t_hi[~done]])
+    if len(side):
+        raise QuadratureError("beat-control integral unresolved within its split budget")
+    return special.betainc(a[:n], b[:n], zm[:n]) - q[:n] + q[n:]
 
 
 def aggregate_runs(values) -> tuple[float, float, float]:

@@ -54,7 +54,7 @@ def smoke_series(preset, **overrides):
 def test_presets_cover_paper_settings():
     assert set(PRESETS) == {
         "setting1-linear", "setting2-linear", "setting3-linear",
-        "mixed-linear", "mixed-nonlinear", "during-experiment",
+        "mixed-linear", "mixed-nonlinear", "during-experiment", "mixed-lowcr",
     }
     assert PRESETS["setting2-linear"].space.cardinalities == (3, 3, 3, 3)
     assert PRESETS["setting2-linear"].array == "oa9_3x4"
@@ -62,6 +62,7 @@ def test_presets_cover_paper_settings():
     assert PRESETS["mixed-linear"].array == "oa36_mixed"
     assert PRESETS["mixed-nonlinear"].mode == "nonlinear"
     assert PRESETS["during-experiment"].curve == "during"
+    assert PRESETS["mixed-lowcr"].weights == WeightConfig(bias=0.002, delta_main=0.0002)
     for cfg in PRESETS.values():
         assert cfg.repetitions == 20
         assert cfg.traffic == DEFAULT_TRAFFIC_SWEEP

@@ -1,8 +1,9 @@
 """Traffic allocation, Bernoulli simulation, and Beta-posterior tests.
 
 The probability-to-beat-control computation is cross-checked against
-closed forms, the complement identity, a Monte Carlo oracle, and the
-adaptive-quadrature reference it falls back to.
+closed forms, the complement identity, a Monte Carlo oracle, a 30-digit
+mpmath quadrature for pairs with shapes below 1 or unresolved fixed rules,
+and, on realistic posteriors, scipy's adaptive quadrature.
 """
 
 import math
@@ -10,7 +11,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy import special
+from scipy import integrate, special
 
 from mvtlab import simstats
 from mvtlab.simstats import (
@@ -220,6 +221,43 @@ def realistic_posterior(prior_mean, impressions, cr):
     )
 
 
+def quad_pbc(cand, ctrl):
+    """P(candidate CR > control CR) by scipy's adaptive quadrature of the
+    narrower density Beta(a, b) against the other's upper tail, cut at its
+    mean and 1, 4, 16, 64 and 256 standard deviations either side. A shape a
+    below 1 makes the first piece singular; it is integrated in u = y^a,
+    where y^(a - 1) dy = du / a. Needs b >= 1."""
+
+    def var(p):
+        return p.alpha * p.beta / ((p.alpha + p.beta) ** 2 * (p.alpha + p.beta + 1))
+
+    flip = var(cand) < var(ctrl)
+    inner, outer = (cand, ctrl) if flip else (ctrl, cand)
+    a, b = inner.alpha, inner.beta
+    assert b >= 1.0
+    m, sd = inner.mean, math.sqrt(var(inner))
+    cuts = {m + side * k * sd for k in (0, 1, 4, 16, 64, 256) for side in (-1, 1)}
+    cuts = sorted({0.0, 1.0, *(x for x in cuts if 0.0 < x < 1.0)})
+    log_norm = special.betaln(a, b)
+
+    def pdf_tail(y):
+        log_pdf = (a - 1) * math.log(y) + (b - 1) * math.log1p(-y) - log_norm
+        return math.exp(log_pdf) * special.betaincc(outer.alpha, outer.beta, y)
+
+    def substituted(u):
+        y = u ** (1 / a)
+        log_f = (b - 1) * math.log1p(-y) - log_norm - math.log(a)
+        return math.exp(log_f) * special.betaincc(outer.alpha, outer.beta, y) if u else 0.0
+
+    upper = 0.0
+    for lo, hi in zip(cuts, cuts[1:]):
+        if lo == 0.0 and a < 1.0:
+            upper += integrate.quad(substituted, 0.0, hi**a, epsabs=1e-12, limit=200)[0]
+        else:
+            upper += integrate.quad(pdf_tail, lo, hi, epsabs=1e-12, limit=200)[0]
+    return 1.0 - upper if flip else upper
+
+
 cr_st = st.floats(min_value=0.001, max_value=0.3)
 impressions_st = st.integers(min_value=10, max_value=3_000_000)
 
@@ -233,43 +271,113 @@ impressions_st = st.integers(min_value=10, max_value=3_000_000)
 def test_pbc_batched_matches_quadrature_reference(prior_mean, ctrl_obs, cand_obs):
     ctrl = realistic_posterior(prior_mean, *ctrl_obs)
     cands = [realistic_posterior(prior_mean, *obs) for obs in cand_obs]
-    batched = prob_beats_control_many(
-        [c.alpha for c in cands], [c.beta for c in cands], ctrl
-    )
-    reference = [simstats._prob_beats_control_quad(c, ctrl) for c in cands]
+    alphas, betas = np.array([[c.alpha, c.beta] for c in cands]).T
+    reference = [quad_pbc(c, ctrl) for c in cands]
+    batched = prob_beats_control_many(alphas, betas, ctrl)
     np.testing.assert_allclose(batched, reference, rtol=0, atol=1e-7)
+    # The split pass alone, which the batch uses only for shapes below 1 or
+    # unresolved rules, here on every pair and over the control density.
+    controls = np.full(len(cands), ctrl.alpha), np.full(len(cands), ctrl.beta)
+    split = simstats._upper_prob_split(*controls, alphas, betas)
+    np.testing.assert_allclose(split, reference, rtol=0, atol=1e-7)
 
 
-def test_pbc_shapes_below_one_use_fallback(monkeypatch):
-    reference = simstats._prob_beats_control_quad
-    routed = []
+def mpmath_pbc(cand, ctrl):
+    """P(candidate CR > control CR) to 30 digits, as I(m; a, b) - Q(left) +
+    Q(right) over the narrower density Beta(a, b), m its mean: each half, the
+    right one in z = 1 - y, integrates the density against the other's CDF
+    from its singular end, substituted as z = zm * t^(1 / p) with p = min(a +
+    a2, 1) so that their product's leading term is constant."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        c, k = [(mp.mpf(x.alpha), mp.mpf(x.beta)) for x in (cand, ctrl)]
 
-    def recording(cand, ctrl):
-        routed.append((cand.alpha, cand.beta))
-        return reference(cand, ctrl)
+        def var(a, b):
+            return a * b / ((a + b) ** 2 * (a + b + 1))
 
-    monkeypatch.setattr(simstats, "_prob_beats_control_quad", recording)
-    ctrl = BetaPosterior(0.5, 0.5)
-    # Equal variances integrate over the control, Beta(0.7, 300) is the
-    # narrower density itself, and Beta(20, 30) is narrower with both
-    # shapes above 1, so only the first two fall back.
-    cands = [BetaPosterior(0.5, 0.5), BetaPosterior(0.7, 300.0), BetaPosterior(20.0, 30.0)]
-    batched = prob_beats_control_many(
-        [c.alpha for c in cands], [c.beta for c in cands], ctrl
+        flip = var(*c) < var(*k)
+        (a, b), (a2, b2) = (c, k) if flip else (k, c)
+
+        def cdf(x, y, a, b):
+            # I_x(a, b), y = 1 - x, as a series of positive terms from the
+            # end of the unit interval nearer x.
+            if x * (a + b) <= a:
+                log_lead = a * mp.log(x) + b * mp.log(y) - mp.log(a) - mp.log(mp.beta(a, b))
+                return mp.exp(log_lead) * mp.hyp2f1(a + b, 1, a + 1, x)
+            return 1 - cdf(y, x, b, a)
+
+        def half(a, b, a2, b2):
+            # P(Z2 < Z < zm) for Z ~ Beta(a, b), Z2 ~ Beta(a2, b2).
+            zm, p = a / (a + b), min(a + a2, 1)
+            log_norm = mp.log(mp.beta(a, b)) + mp.log(p)
+
+            def integrand(t):
+                log_z = mp.log(zm) + mp.log(t) / p
+                z = mp.exp(log_z)
+                log_w = a * log_z + (b - 1) * mp.log1p(-z) - log_norm - mp.log(t)
+                return mp.exp(log_w) * cdf(z, 1 - z, a2, b2)
+
+            return mp.quad(integrand, [0, 1])
+
+        m = a / (a + b)
+        upper = cdf(m, 1 - m, a, b) - half(a, b, a2, b2) + half(b, a, b2, a2)
+        return float(1 - upper if flip else upper)
+
+
+def counts_posteriors(counts, ctrl_counts):
+    """Posteriors of (impressions, conversions) counts under their pooled prior."""
+    prior = global_prior(
+        sum(n for n, _ in counts) + ctrl_counts[0], sum(c for _, c in counts) + ctrl_counts[1]
     )
-    assert routed == [(0.5, 0.5), (0.7, 300.0)]
-    expected = [reference(c, ctrl) for c in cands]
-    np.testing.assert_allclose(batched, expected, rtol=0, atol=1e-7)
+    posts = [BetaPosterior(*posterior(prior, *pair)) for pair in [*counts, ctrl_counts]]
+    return posts[:-1], posts[-1]
+
+
+def test_pbc_matches_mpmath_oracle():
+    # The oracle first reproduces the closed form on integer shapes, from
+    # wide against narrow to narrow against narrow.
+    for cand, ctrl in [((1, 1), (200, 200)), ((2, 5), (20, 200)), ((5, 2), (200, 20)),
+                       ((20, 20), (1, 2)), ((200, 5), (5, 200)), ((1, 200), (200, 1))]:
+        cand, ctrl = BetaPosterior(*map(float, cand)), BetaPosterior(*map(float, ctrl))
+        assert abs(mpmath_pbc(cand, ctrl) - miller_prob_beats(cand, ctrl)) <= 1e-12
+    wide = BetaPosterior(0.5, 0.5)
+    # Equal variances integrate over the control, Beta(0.7, 300) is the
+    # narrower density itself, and Beta(20, 30) is narrower with both shapes
+    # above 1.
+    cases = [(BetaPosterior(*shapes), wide) for shapes in ((0.5, 0.5), (0.7, 300.0), (20.0, 30.0))]
+    # The other density's CDF is the steep one.
+    cases.append((BetaPosterior(0.0094, 288.0), BetaPosterior(1.009, 5953.0)))
+    # Shapes above 1 whose fixed rules disagree at lo = 0.
+    (cand,), ctrl = counts_posteriors([(1_529, 1)], (10, 1))
+    cases.append((cand, ctrl))
+    # A pooled rate above 0.99 puts beta below 1, here in the narrower density.
+    (cand,), ctrl = counts_posteriors([(1_000, 1_000)], (50, 49))
+    assert cand.beta < 1.0
+    cases += [(cand, ctrl), (ctrl, cand)]
+    # No conversions anywhere: every shape alpha is about 7.6e-5.
+    (cand, _, _), ctrl = counts_posteriors([(441_053, 0)] * 3, (10, 0))
+    cases.append((cand, ctrl))
+    for cand, ctrl in cases:
+        got = prob_beats_control_many([cand.alpha], [cand.beta], ctrl)[0]
+        assert abs(got - mpmath_pbc(cand, ctrl)) <= 1e-7, (cand, ctrl)
 
 
 def test_prob_beats_control_many_matches_scalar():
-    ctrl = BetaPosterior(60.0, 940.0)
-    cands = [BetaPosterior(a, 1000.0 - a) for a in (40.0, 55.0, 60.0, 70.0, 90.0)]
-    batched = prob_beats_control_many(
-        [c.alpha for c in cands], [c.beta for c in cands], ctrl
-    )
-    assert batched.tolist() == [prob_beats_control(c, ctrl) for c in cands]
-    assert prob_beats_control_many([], [], ctrl).shape == (0,)
+    cases = [
+        ((60.0, 940.0), [(a, 1000.0 - a) for a in (40.0, 55.0, 60.0, 70.0, 90.0)]),
+        # Both take the split pass. The second, with shape 4e-4, starts on
+        # more pieces; a tolerance shared over the batch moved the first by
+        # 6.5e-9.
+        ((0.5, 2600.0), [(1.25, 4000.0), (4e-4, 10_700.0)]),
+    ]
+    for ctrl, shapes in cases:
+        ctrl = BetaPosterior(*ctrl)
+        cands = [BetaPosterior(*c) for c in shapes]
+        batched = prob_beats_control_many(
+            [c.alpha for c in cands], [c.beta for c in cands], ctrl
+        )
+        assert batched.tolist() == [prob_beats_control(c, ctrl) for c in cands]
+        assert prob_beats_control_many([], [], ctrl).shape == (0,)
 
 
 def test_aggregate_runs():
