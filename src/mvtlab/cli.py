@@ -64,7 +64,6 @@ def cmd_validate_array(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        # validate raises on values it cannot count, e.g. negative ones.
         report = validate(parse_array(text))
     except ValueError as exc:  # ArrayFormatError included
         print(f"parse error: {exc}", file=sys.stderr)

@@ -26,7 +26,7 @@ from .simstats import (
     BetaPosterior,
     global_prior,
     posterior,
-    prob_beats_control_many,
+    prob_beats_control,
     simulate_conversions,
 )
 
@@ -240,7 +240,7 @@ def beat_control_winner(
     ctrl_post = BetaPosterior(*posterior(prior, ctrl_impressions, ctrl_conversions))
     front = undominated(conversions.tolist(), (impressions - conversions).tolist())
     alphas, betas = posterior(prior, impressions[front], conversions[front])
-    pbcs = [0.5, *prob_beats_control_many(alphas, betas, ctrl_post).tolist()]
+    pbcs = [0.5, *prob_beats_control((alphas, betas), ctrl_post).tolist()]
     means = [ctrl_post.mean, *(alphas / (alphas + betas)).tolist()]
     best = max(range(len(pbcs)), key=lambda i: (round(pbcs[i] / PBC_TOL), means[i]))
     return (front[best - 1] if best else None), pbcs[best]

@@ -6,6 +6,7 @@ from __future__ import annotations
 import ast
 import hashlib
 import json
+import platform
 import xml.sax.saxutils as saxutils
 from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property
@@ -69,6 +70,9 @@ class ExperimentConfig:
         # Settings a sweep would otherwise trip over mid-run are rejected
         # here, before the first cell (the array's in load_design);
         # aggregate_runs, for one, needs two values per traffic level.
+        # The name is every output file's stem; no output may leave out_dir.
+        if self.name in ("", ".", "..") or "/" in self.name or "\\" in self.name:
+            raise ValueError(f"name {self.name!r} is not a plain file name")
         if self.repetitions < 2:
             raise ValueError(f"need at least two repetitions, got {self.repetitions}")
         if self.master_seed < 0:  # SeedSequence rejects negative entropy
@@ -190,7 +194,9 @@ def run_taguchi_arm(
     allocation = allocate_taguchi(total_traffic, array.n_rows)
     true_crs = evaluator.true_crs(array.rows)
     conversions = simulate_conversions(true_crs, allocation, rng)
-    scores = [c / n for c, n in zip(conversions.tolist(), allocation)]
+    scores = conversions / allocation
+    # Python's sum, as the goldens were written: numpy's pairwise sum
+    # rounds differently.
     served = sum(n * cr for n, cr in zip(allocation, true_crs.tolist())) / total_traffic
     return {
         "predict_cr": evaluator.true_cr(predict_best(array, scores)),
@@ -372,6 +378,8 @@ def run_experiment(config: ExperimentConfig) -> dict:
         "seed": config.master_seed,
         "config_sha256": config_digest(config),
         "mvtlab_version": __version__,
+        # sum() of floats (the served averages) rounds differently from 3.12 on
+        "python_version": platform.python_version(),
         "numpy_version": np.__version__,
         # beat-control numbers come from scipy.special.betainc
         "scipy_version": scipy.__version__,

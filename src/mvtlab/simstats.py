@@ -106,14 +106,12 @@ _MAX_SPLITS = 40
 _MAX_PIECES = 1000
 
 
-def prob_beats_control(cand: BetaPosterior, control: BetaPosterior) -> float:
-    """P(candidate CR > control CR) for independent Beta posteriors."""
-    return float(prob_beats_control_many([cand.alpha], [cand.beta], control)[0])
-
-
-def prob_beats_control_many(alphas, betas, control: BetaPosterior) -> np.ndarray:
-    """P(candidate CR > control CR) for each candidate Beta(alphas[i],
-    betas[i]) against one control posterior, in one vectorised pass.
+def prob_beats_control(cand, control: BetaPosterior):
+    """P(candidate CR > control CR) for independent Beta posteriors, in one
+    vectorised pass: a float for one candidate BetaPosterior, or an array
+    for a batch given as its (alphas, betas) arrays, as posterior() returns
+    them for count arrays, element i for candidate Beta(alphas[i],
+    betas[i]).
 
     Each pair is integrated over whichever density is narrower, on its
     16-standard-deviation window, with fixed 64- and 96-node Gauss-Legendre
@@ -122,9 +120,11 @@ def prob_beats_control_many(alphas, betas, control: BetaPosterior) -> np.ndarray
     PBC_TOL / 10, or whose integrated density is unbounded (a shape below
     1), is integrated again over the whole unit interval by the same rules
     in substituted variables, bisecting the pieces they cannot resolve
-    (_upper_prob_split). Deterministic, so seeded runs stay bit-for-bit
-    reproducible.
+    (_upper_prob_split). Deterministic and the same for a candidate alone
+    as in any batch, so seeded runs stay bit-for-bit reproducible.
     """
+    single = isinstance(cand, BetaPosterior)
+    alphas, betas = ([cand.alpha], [cand.beta]) if single else cand
     a_c = np.asarray(alphas, dtype=float)
     b_c = np.asarray(betas, dtype=float)
     a_k, b_k = control.alpha, control.beta
@@ -178,8 +178,8 @@ def prob_beats_control_many(alphas, betas, control: BetaPosterior) -> np.ndarray
     if redo.any():
         pairs = (x[redo] for x in (a_int, b_int, a_tail, b_tail))
         upper_prob[redo] = _upper_prob_split(*pairs)
-    pbc = np.where(cand_narrower, 1.0 - upper_prob, upper_prob)
-    return np.clip(pbc, 0.0, 1.0)
+    pbc = np.clip(np.where(cand_narrower, 1.0 - upper_prob, upper_prob), 0.0, 1.0)
+    return float(pbc[0]) if single else pbc
 
 
 def _variance(a, b):

@@ -26,10 +26,24 @@ class ArrayValidationError(ValueError):
     """Raised when a parsed array violates a design property."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OrthogonalArray:
+    """A design: `rows` is a read-only (n_rows, n_columns) int64 matrix of
+    0-based value indices, one row per design point, built from any nested
+    sequence of integer rows."""
+
     column_levels: tuple[int, ...]
-    rows: tuple[tuple[int, ...], ...]
+    rows: np.ndarray
+
+    def __post_init__(self):
+        rows = np.asarray(self.rows)
+        if rows.dtype.kind not in "iu" or rows.shape[1:] != (self.n_columns,):
+            raise ValueError(
+                f"need int rows of {self.n_columns} columns, got {rows.dtype} {rows.shape}"
+            )
+        rows = rows.astype(np.int64)  # a copy, so the caller's array stays writable
+        rows.flags.writeable = False
+        object.__setattr__(self, "rows", rows)
 
     @property
     def n_rows(self) -> int:
@@ -41,9 +55,6 @@ class OrthogonalArray:
 
     def row_candidate(self, index: int) -> Candidate:
         return Candidate(self.rows[index])
-
-    def column(self, index: int) -> list[int]:
-        return [row[index] for row in self.rows]
 
 
 @dataclass(frozen=True)
@@ -68,68 +79,59 @@ class ValidationReport:
 
 def validate(a: OrthogonalArray) -> ValidationReport:
     """Check value ranges, per-column balance, and pairwise orthogonality of
-    mean-centered columns. Pair balance is reported as information only."""
-    mat = np.array(a.rows, dtype=float) if a.rows else np.empty((0, a.n_columns))
-
-    range_bad = []
-    for i, levels in enumerate(a.column_levels):
-        col = mat[:, i]
-        if col.size and (col.min() < 0 or col.max() >= levels):
-            range_bad.append(i)
-
-    balance_bad = []
-    for i, levels in enumerate(a.column_levels):
-        counts = np.bincount(np.asarray(a.column(i)), minlength=levels)
-        if len(set(counts.tolist())) != 1 or len(counts) != levels:
-            balance_bad.append(i)
-
-    ortho_bad = []
-    centered = mat - mat.mean(axis=0, keepdims=True)
-    for i in range(a.n_columns):
-        for j in range(i + 1, a.n_columns):
-            if abs(float(centered[:, i] @ centered[:, j])) > ORTHO_TOL:
-                ortho_bad.append((i, j))
-
-    pair_info = []
-    for i in range(a.n_columns):
-        for j in range(i + 1, a.n_columns):
-            combos = {}
-            for row in a.rows:
-                combos[(row[i], row[j])] = combos.get((row[i], row[j]), 0) + 1
-            full = a.column_levels[i] * a.column_levels[j]
-            balanced = len(combos) == full and len(set(combos.values())) == 1
-            pair_info.append(((i, j), balanced))
-
+    mean-centered columns. Pair balance is reported as information only. A
+    column holding a value outside its levels (negative ones included) fails
+    the range check, and its value counts are not taken."""
+    rows = a.rows
+    in_range = ((rows >= 0) & (rows < a.column_levels)).all(axis=0)
+    range_bad = np.flatnonzero(~in_range).tolist()
+    balance_bad = [
+        i for i in np.flatnonzero(in_range).tolist()
+        if np.ptp(np.bincount(rows[:, i], minlength=a.column_levels[i]))
+    ]
+    centered = rows - rows.mean(axis=0)
+    gram = centered.T @ centered
+    left, right = np.triu_indices(a.n_columns, 1)
+    skewed = np.abs(gram[left, right]) > ORTHO_TOL
+    ortho_bad = list(zip(left[skewed].tolist(), right[skewed].tolist()))
+    pairs = zip(left.tolist(), right.tolist())  # (0, 1), (0, 2), ..., (1, 2), ...
+    pair_info = tuple(((i, j), _pair_balanced(a, i, j)) for i, j in pairs)
     checks = (
         PropertyCheck("range", not range_bad, tuple(range_bad)),
         PropertyCheck("balance", not balance_bad, tuple(balance_bad)),
         PropertyCheck("orthogonality", not ortho_bad, tuple(ortho_bad)),
     )
-    return ValidationReport(checks=checks, pair_balance_info=tuple(pair_info))
+    return ValidationReport(checks=checks, pair_balance_info=pair_info)
+
+
+def _pair_balanced(a: OrthogonalArray, i: int, j: int) -> bool:
+    """Whether every combination of a value of column i with a value of
+    column j occurs in equally many rows; False when either column holds a
+    value outside its levels."""
+    ki, kj = a.column_levels[i], a.column_levels[j]
+    pair = a.rows[:, [i, j]]
+    if ((pair < 0) | (pair >= (ki, kj))).any():
+        return False
+    counts = np.bincount(pair[:, 0] * kj + pair[:, 1], minlength=ki * kj)
+    return bool(counts.min() == counts.max())
 
 
 def parse_array(text: str) -> OrthogonalArray:
     """Parse an array from file contents, checking the format only: integer
     tokens, at least one row, every row as wide as the level line."""
-    lines = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            lines.append(line)
+    lines = [tokens for raw in text.splitlines() if (tokens := raw.split("#", 1)[0].split())]
     if not lines:
         raise ArrayFormatError("empty array file")
     try:
-        levels = tuple(int(tok) for tok in lines[0].split())
-        rows = tuple(tuple(int(tok) for tok in line.split()) for line in lines[1:])
+        levels = tuple(int(tok) for tok in lines[0])
+        rows = [[int(tok) for tok in line] for line in lines[1:]]
     except ValueError as exc:
         raise ArrayFormatError(f"non-integer token in array file: {exc}") from exc
     if not rows:
         raise ArrayFormatError("array file has no rows")
     for r, row in enumerate(rows):
         if len(row) != len(levels):
-            raise ArrayFormatError(
-                f"row {r} has {len(row)} entries, expected {len(levels)}"
-            )
+            raise ArrayFormatError(f"row {r} has {len(row)} entries, expected {len(levels)}")
     return OrthogonalArray(column_levels=levels, rows=rows)
 
 
@@ -164,16 +166,14 @@ def load_bundled_array(name: str) -> OrthogonalArray:
 
 
 def save_array(a: OrthogonalArray) -> str:
-    lines = [" ".join(str(v) for v in a.column_levels)]
-    lines.extend(" ".join(str(v) for v in row) for row in a.rows)
+    lines = [" ".join(map(str, a.column_levels))]
+    lines.extend(" ".join(map(str, row)) for row in a.rows.tolist())
     return "\n".join(lines) + "\n"
 
 
 def main_effect(a: OrthogonalArray, scores, var: int, value: int) -> float:
     """Mean score over rows whose var-th entry equals value."""
-    scores = list(scores)
-    if len(scores) != a.n_rows:
-        raise ValueError(f"{len(scores)} scores for {a.n_rows} rows")
+    scores = _row_scores(a, scores).tolist()
     if not 0 <= var < a.n_columns:
         raise IndexError(f"variable {var} out of range")
     if not 0 <= value < a.column_levels[var]:
@@ -181,8 +181,8 @@ def main_effect(a: OrthogonalArray, scores, var: int, value: int) -> float:
     # Added left to right, as effect_table's bincount does; sum() compensates
     # float rounding from Python 3.12 on.
     total = count = 0
-    for s, row in zip(scores, a.rows):
-        if row[var] == value:
+    for s, v in zip(scores, a.rows[:, var].tolist()):
+        if v == value:
             total += s
             count += 1
     return total / count
@@ -190,13 +190,10 @@ def main_effect(a: OrthogonalArray, scores, var: int, value: int) -> float:
 
 def effect_table(a: OrthogonalArray, scores) -> list[np.ndarray]:
     """Per variable, the main effect of each of its values, indexed by value."""
-    scores = np.asarray(scores, dtype=float)
-    if len(scores) != a.n_rows:
-        raise ValueError(f"{len(scores)} scores for {a.n_rows} rows")
-    columns = np.array(a.rows).T
+    scores = _row_scores(a, scores)
     return [
         np.bincount(col, scores, k) / np.bincount(col, None, k)
-        for col, k in zip(columns, a.column_levels)
+        for col, k in zip(a.rows.T, a.column_levels)
     ]
 
 
@@ -208,11 +205,15 @@ def predict_best(a: OrthogonalArray, scores) -> Candidate:
 
 def best_tested(a: OrthogonalArray, scores) -> Candidate:
     """The highest-scoring row actually in the array; earliest row on ties."""
-    scores = list(scores)
+    return a.row_candidate(int(np.argmax(_row_scores(a, scores))))
+
+
+def _row_scores(a: OrthogonalArray, scores) -> np.ndarray:
+    """scores as a float array, checked to hold one score per row."""
+    scores = np.asarray(scores, dtype=float)
     if len(scores) != a.n_rows:
         raise ValueError(f"{len(scores)} scores for {a.n_rows} rows")
-    best = max(range(a.n_rows), key=lambda r: (scores[r], -r))
-    return a.row_candidate(best)
+    return scores
 
 
 def merge_columns(a: OrthogonalArray, col2: int, col3: int) -> OrthogonalArray:
@@ -225,11 +226,7 @@ def merge_columns(a: OrthogonalArray, col2: int, col3: int) -> OrthogonalArray:
         raise ValueError(f"column {col2} has {a.column_levels[col2]} levels, need 2")
     if a.column_levels[col3] != 3:
         raise ValueError(f"column {col3} has {a.column_levels[col3]} levels, need 3")
-    combos = {}
-    for row in a.rows:
-        key = (row[col2], row[col3])
-        combos[key] = combos.get(key, 0) + 1
-    if len(combos) != 6 or len(set(combos.values())) != 1:
+    if not _pair_balanced(a, col2, col3):
         raise ArrayValidationError(
             f"columns {col2} and {col3} are not pair-balanced; merge would be unbalanced"
         )
@@ -237,11 +234,6 @@ def merge_columns(a: OrthogonalArray, col2: int, col3: int) -> OrthogonalArray:
     levels = list(a.column_levels)
     levels[keep] = 6
     del levels[drop]
-    rows = []
-    for row in a.rows:
-        merged = 3 * row[col2] + row[col3]
-        new_row = list(row)
-        new_row[keep] = merged
-        del new_row[drop]
-        rows.append(tuple(new_row))
-    return OrthogonalArray(column_levels=tuple(levels), rows=tuple(rows))
+    rows = np.delete(a.rows, drop, axis=1)
+    rows[:, keep] = 3 * a.rows[:, col2] + a.rows[:, col3]
+    return OrthogonalArray(column_levels=tuple(levels), rows=rows)

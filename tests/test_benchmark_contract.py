@@ -1,11 +1,15 @@
 """The names the benchmark's tracer (perfbench/tracing.py) looks up in
 mvtlab must keep resolving, a traced evolution run must keep working, and
 the benchmark's set-up code (SETUP_CODE in perfbench/run.py) must keep
-running for every workload: a rename or a changed result shape would
-otherwise break the benchmark without failing any other test. The
-benchmark's files are imported, never edited."""
+running for every workload, and a traced benchmark run must end in a
+result line: a rename or a changed result shape would otherwise break the
+benchmark without failing any other test. The benchmark's files are
+imported or run, never edited."""
 
 import importlib.util
+import json
+import shutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -68,3 +72,34 @@ def test_setup_code_runs_for_every_workload(tracing, monkeypatch, capsys):
         seconds, module_file = capsys.readouterr().out.split()
         assert float(seconds) >= 0, name
         assert Path(module_file) == Path(mvtlab.cli.__file__), name
+
+
+def test_traced_benchmark_run_ends_in_a_result():
+    # A traced name that stops resolving drops its metrics silently, and a
+    # non-finite metric prints as NaN, which is not JSON; either leaves a
+    # run that exits 0 without a result on its last line.
+    root = PERFBENCH.parent
+    spec = json.loads((root / "BENCHMARK.json").read_text())
+    work = root / ".perfbench_out"
+    made_work = not work.exists()
+    stem = "mixed-nonlinear-seed990001"
+    argv = ["--workload", "mixed-nonlinear", "--seed", "990001", "--seconds", "0.5", "--trace", "1"]
+    try:
+        proc = subprocess.run(
+            [sys.executable, str(PERFBENCH / "run.py"), *argv],
+            capture_output=True, text=True, timeout=300, cwd=root,
+        )
+    finally:
+        shutil.rmtree(work / stem, ignore_errors=True)
+        for suffix in ("-trace1.json", "-trace1-spans.json"):
+            (work / f"{stem}{suffix}").unlink(missing_ok=True)
+        if made_work and work.exists() and not any(work.iterdir()):
+            work.rmdir()
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+
+    def finite_only(constant):
+        raise ValueError(f"non-finite value {constant} in the result")
+
+    result = json.loads(proc.stdout.splitlines()[-1], parse_constant=finite_only)
+    assert result["correct"] is True and result["failed"] == 0
+    assert sorted(result["metrics"]) == sorted(m["name"] for m in spec["per_layer"])

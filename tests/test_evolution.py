@@ -34,7 +34,6 @@ from mvtlab.simstats import (
     global_prior,
     posterior,
     prob_beats_control,
-    prob_beats_control_many,
 )
 
 
@@ -449,7 +448,7 @@ def full_winner(imp, conv, ctrl_imp, ctrl_conv):
     ctrl_post = BetaPosterior(*posterior(prior, ctrl_imp, ctrl_conv))
     posts = [BetaPosterior(*posterior(prior, n, c)) for n, c in zip(imp.tolist(), conv.tolist())]
     alphas, betas = [p.alpha for p in posts], [p.beta for p in posts]
-    pbcs = [0.5, *prob_beats_control_many(alphas, betas, ctrl_post).tolist()]
+    pbcs = [0.5, *prob_beats_control((alphas, betas), ctrl_post).tolist()]
     means = [ctrl_post.mean, *(p.mean for p in posts)]
     best = max(range(len(pbcs)), key=lambda i: (round(pbcs[i] / PBC_TOL), means[i]))
     return (best - 1 if best else None), pbcs[best]

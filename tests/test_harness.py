@@ -2,6 +2,7 @@
 parsing, and the CLI."""
 
 import json
+import platform
 import xml.etree.ElementTree as ET
 from dataclasses import fields, replace
 
@@ -91,6 +92,9 @@ def test_config_validation():
         replace(PRESETS["setting2-linear"], space=SearchSpace([10] * 8))
     with pytest.raises(ValueError):  # SeedSequence takes no negative seed
         replace(PRESETS["setting2-linear"], master_seed=-1)
+    for name in ("", ".", "..", "../escaped", "a/b", "a\\b"):  # output file stems
+        with pytest.raises(ValueError, match="not a plain file name"):
+            replace(PRESETS["setting2-linear"], name=name)
     for weights in (WeightConfig(bias=1.5), WeightConfig(delta_pair=-1.0)):
         with pytest.raises(EvaluatorConfigError):
             replace(PRESETS["setting2-linear"], weights=weights)
@@ -228,6 +232,7 @@ def test_run_experiment_outputs(tmp_path):
     assert len(manifest["config_sha256"]) == 64
     assert manifest["scipy_version"] == scipy.__version__
     assert manifest["mvtlab_version"] == mvtlab.__version__
+    assert manifest["python_version"] == platform.python_version()
 
 
 def test_rerun_is_byte_identical(tmp_path):
@@ -422,6 +427,15 @@ def test_cli_run_config_errors_are_one_line(tmp_path, capsys):
     assert not list(tmp_path.glob("*.csv"))
 
 
+def test_cli_run_keeps_outputs_inside_out(tmp_path, capsys):
+    cfg = tmp_path / "escape.cfg"
+    inner = tmp_path / "inner"
+    cfg.write_text(f"space = [2, 2, 2]\narray = oa4_2x3\nname = ../escaped\nout = {inner}\n")
+    assert cli_main(["run", str(cfg)]) == 2
+    assert capsys.readouterr().err == "error: name '../escaped' is not a plain file name\n"
+    assert not (tmp_path / "escaped.csv").exists()
+
+
 def test_cli_run_uncreatable_out_dir_is_one_line(tmp_path, capsys, monkeypatch):
     # The output directory is created before any cell runs.
     monkeypatch.setattr(cli, "run_experiment", lambda config: pytest.fail("cells ran"))
@@ -445,6 +459,16 @@ def test_cli_validate_array(tmp_path, capsys):
     assert cli_main(["validate-array", str(bad)]) == 1
     out = capsys.readouterr().out
     assert "FAIL" in out
+
+    # A negative entry is a value outside the column's levels.
+    negative = tmp_path / "negative.txt"
+    negative.write_text("2\n0\n1\n-1\n")
+    assert cli_main(["validate-array", str(negative)]) == 1
+    assert capsys.readouterr().out.startswith("range: FAIL (columns [0])\nbalance: pass\n")
+    cfg = tmp_path / "negative.cfg"
+    cfg.write_text(f"space = [2]\narray = {negative}\n")
+    assert cli_main(["run", str(cfg), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "error: array fails validation: range (columns [0])\n"
 
     rowless = tmp_path / "rowless.txt"
     rowless.write_text("2 2\n")

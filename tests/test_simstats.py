@@ -22,7 +22,6 @@ from mvtlab.simstats import (
     global_prior,
     posterior,
     prob_beats_control,
-    prob_beats_control_many,
     simulate_conversions,
 )
 
@@ -206,9 +205,7 @@ def test_pbc_matches_closed_form_on_integer_grid():
     shapes = [1, 2, 5, 20, 200]
     grid = [BetaPosterior(float(a), float(b)) for a in shapes for b in shapes]
     for ctrl in grid:
-        batched = prob_beats_control_many(
-            [c.alpha for c in grid], [c.beta for c in grid], ctrl
-        )
+        batched = prob_beats_control(([c.alpha for c in grid], [c.beta for c in grid]), ctrl)
         exact = [miller_prob_beats(c, ctrl) for c in grid]
         np.testing.assert_allclose(batched, exact, rtol=0, atol=1e-7)
 
@@ -273,7 +270,7 @@ def test_pbc_batched_matches_quadrature_reference(prior_mean, ctrl_obs, cand_obs
     cands = [realistic_posterior(prior_mean, *obs) for obs in cand_obs]
     alphas, betas = np.array([[c.alpha, c.beta] for c in cands]).T
     reference = [quad_pbc(c, ctrl) for c in cands]
-    batched = prob_beats_control_many(alphas, betas, ctrl)
+    batched = prob_beats_control((alphas, betas), ctrl)
     np.testing.assert_allclose(batched, reference, rtol=0, atol=1e-7)
     # The split pass alone, which the batch uses only for shapes below 1 or
     # unresolved rules, here on every pair and over the control density.
@@ -358,11 +355,11 @@ def test_pbc_matches_mpmath_oracle():
     (cand, _, _), ctrl = counts_posteriors([(441_053, 0)] * 3, (10, 0))
     cases.append((cand, ctrl))
     for cand, ctrl in cases:
-        got = prob_beats_control_many([cand.alpha], [cand.beta], ctrl)[0]
+        got = prob_beats_control(cand, ctrl)
         assert abs(got - mpmath_pbc(cand, ctrl)) <= 1e-7, (cand, ctrl)
 
 
-def test_prob_beats_control_many_matches_scalar():
+def test_pbc_batch_matches_single():
     cases = [
         ((60.0, 940.0), [(a, 1000.0 - a) for a in (40.0, 55.0, 60.0, 70.0, 90.0)]),
         # Both take the split pass. The second, with shape 4e-4, starts on
@@ -373,11 +370,9 @@ def test_prob_beats_control_many_matches_scalar():
     for ctrl, shapes in cases:
         ctrl = BetaPosterior(*ctrl)
         cands = [BetaPosterior(*c) for c in shapes]
-        batched = prob_beats_control_many(
-            [c.alpha for c in cands], [c.beta for c in cands], ctrl
-        )
+        batched = prob_beats_control(([c.alpha for c in cands], [c.beta for c in cands]), ctrl)
         assert batched.tolist() == [prob_beats_control(c, ctrl) for c in cands]
-        assert prob_beats_control_many([], [], ctrl).shape == (0,)
+        assert prob_beats_control(([], []), ctrl).shape == (0,)
 
 
 def test_aggregate_runs():

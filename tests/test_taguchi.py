@@ -68,7 +68,7 @@ def test_load_rejects_broken_balance(nine_row):
     with pytest.raises(ArrayValidationError, match="balance"):
         load_array(text)
     # parse_array checks the format only, so the broken design still parses
-    assert parse_array(text).rows == tuple(rows)
+    assert np.array_equal(parse_array(text).rows, rows)
 
 
 def test_load_rejects_garbage():
@@ -96,6 +96,24 @@ def test_validate_reports_unbalanced_constant_column():
     assert 1 in balance.offending_columns
 
 
+def test_validate_reports_out_of_range_entries():
+    # Negative entries too: they fail the range check, not the value counts.
+    a = OrthogonalArray(column_levels=(2, 2), rows=((0, 0), (-1, 1), (1, 2), (0, 1)))
+    checks = {c.name: c for c in validate(a).checks}
+    assert checks["range"].offending_columns == (0, 1)
+    assert checks["balance"].passed
+    assert validate(a).pair_balance_info == (((0, 1), False),)
+
+
+def test_rows_are_one_read_only_int_matrix(nine_row):
+    assert nine_row.rows.dtype == np.int64 and nine_row.rows.shape == (9, 4)
+    with pytest.raises(ValueError):
+        nine_row.rows[0, 0] = 1
+    for rows in (((0.5, 0),), ((True, False),), ((0, 0, 0),), ()):
+        with pytest.raises(ValueError):
+            OrthogonalArray(column_levels=(2, 2), rows=rows)
+
+
 def test_validate_single_column_vacuous_orthogonality():
     a = OrthogonalArray(column_levels=(2,), rows=((0,), (1,)))
     report = validate(a)
@@ -103,7 +121,7 @@ def test_validate_single_column_vacuous_orthogonality():
 
 
 def test_save_load_round_trip(nine_row):
-    assert load_array(save_array(nine_row)).rows == nine_row.rows
+    assert np.array_equal(load_array(save_array(nine_row)).rows, nine_row.rows)
 
 
 def test_worked_main_effect_example(nine_row):
@@ -134,7 +152,7 @@ def test_main_effect_index_errors(nine_row):
 def test_partition_law(nine_row):
     scores = [0.03, 0.08, 0.01, 0.09, 0.04, 0.06, 0.02, 0.07, 0.05]
     for var, means in enumerate(effect_table(nine_row, scores)):
-        counts = [nine_row.column(var).count(v) for v in range(len(means))]
+        counts = np.bincount(nine_row.rows[:, var], minlength=len(means))
         total = sum(m * c for m, c in zip(means, counts))
         assert total == pytest.approx(sum(scores))
 
@@ -194,8 +212,8 @@ def test_merge_columns_balanced():
     assert merged.n_rows == base.n_rows
     keep = min(col2, col3)
     assert merged.column_levels[keep] == 6
-    col = merged.column(keep)
-    assert all(col.count(v) == base.n_rows // 6 for v in range(6))
+    counts = np.bincount(merged.rows[:, keep])
+    assert counts.tolist() == [base.n_rows // 6] * 6
 
 
 def test_merge_columns_rejects_unbalanced_pair():
