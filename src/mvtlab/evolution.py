@@ -14,13 +14,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
-from operator import mul
 
 import numpy as np
 
 from .evaluator import Evaluator
-from .genome import Candidate, SearchSpace, control, one_gene_variants
+from .genome import Candidate, SearchSpace, control
 from .simstats import (
     PBC_TOL,
     BetaPosterior,
@@ -62,8 +60,18 @@ class GenerationRecord:
 
 def init_population(space: SearchSpace) -> np.ndarray:
     """First generation: every genome one gene away from the control, one
-    per row."""
-    return np.array([c.choices for c in one_gene_variants(space)])
+    per row, variable-major, then value ascending."""
+    cards = space.cardinalities
+    variable = np.repeat(np.arange(len(cards)), np.subtract(cards, 1))
+    genomes = np.zeros((len(variable), len(cards)), dtype=np.int64)
+    genomes[np.arange(len(variable)), variable] = np.concatenate([np.arange(1, k) for k in cards])
+    return genomes
+
+
+def _strides(space: SearchSpace) -> np.ndarray:
+    """C-order strides: a genome's flat id is its dot product with these."""
+    cards = space.cardinalities
+    return np.array([math.prod(cards[i + 1 :]) for i in range(len(cards))])
 
 
 def select_elites(
@@ -94,31 +102,35 @@ def select_elites(
     return elites
 
 
-def parent_pair(u: float, w: float, n_elites: int) -> tuple[int, int]:
+def parent_pair(u, w, n_elites: int):
     """Indices of a uniformly random ordered pair of distinct elites, from two
-    uniforms in [0, 1); (0, 0) for a single elite."""
-    i = int(u * n_elites)
-    return i, (i + 1 + int(w * (n_elites - 1))) % n_elites
+    uniforms in [0, 1); (0, 0) for a single elite. Uniform arrays give index
+    arrays, one pair per element."""
+    # astype truncates toward zero as int() does, so a block of uniforms
+    # gives each element the pair its two uniforms alone would.
+    i = np.multiply(u, n_elites).astype(np.intp)
+    return i, (i + 1 + np.multiply(w, n_elites - 1).astype(np.intp)) % n_elites
 
 
-def crossover(parent_a, parent_b, uniforms) -> list[int]:
+def crossover(parent_a, parent_b, uniforms) -> np.ndarray:
     """Uniform per-gene crossover: gene i from parent_a when uniforms[i] < 1/2,
-    else from parent_b."""
-    if len(parent_a) != len(parent_b):
+    else from parent_b. Parents are one genome each or one row per child."""
+    if np.shape(parent_a) != np.shape(parent_b):
         raise ValueError("parents come from different spaces")
-    return [a if u < 0.5 else b for a, b, u in zip(parent_a, parent_b, uniforms)]
+    return np.where(np.less(uniforms, 0.5), parent_a, parent_b)
 
 
-def mutate(genome, rate: float, space: SearchSpace, uniforms) -> list[int]:
+def mutate(genome, rate: float, space: SearchSpace, uniforms) -> np.ndarray:
     """Gene i mutates when uniforms[i] < rate, to a uniformly random different
     value of its variable; uniforms[i] / rate, uniform in [0, 1) given the
-    hit, picks that value."""
-    if len(genome) != len(space):
-        raise ValueError(f"genome has {len(genome)} genes for a {len(space)}-variable space")
-    return [
-        _other_value(g, k, q / rate) if q < rate else g
-        for g, k, q in zip(genome, space.cardinalities, uniforms)
-    ]
+    hit, picks that value. `genome` is one genome or one row per child."""
+    out = np.array(genome)
+    if out.shape[-1] != len(space):
+        raise ValueError(f"genome has {out.shape[-1]} genes for a {len(space)}-variable space")
+    uniforms = np.asarray(uniforms)
+    for hit in zip(*np.nonzero(uniforms < rate)):
+        out[hit] = _other_value(out[hit], space.cardinalities[hit[-1]], uniforms[hit] / rate)
+    return out
 
 
 def _other_value(value: int, k: int, u: float) -> int:
@@ -144,50 +156,45 @@ def next_generation(
     One rng.random block drives the whole generation. Each child's row holds
     two parent-pair uniforms, one crossover and one mutation uniform per
     gene, then the gene and value uniforms of its first dedupe nudge; any
-    later nudge of the same child draws fresh.
+    later nudge of the same child draws fresh. Parent picks, crossover and
+    mutation each take every child at once; only the dedupe nudge goes
+    child by child.
     """
     if not elite_indices:
         raise ValueError("no elites available to breed from")
     carried = np.array(elite_indices)
-    elites = genomes[carried].tolist()
+    elites = genomes[carried]
+    n_elites, n_vars = elites.shape
     cards = space.cardinalities
-    n_vars = len(cards)
-    # C-order strides: a genome's flat id is its dot product with these.
-    strides = [math.prod(cards[i + 1 :]) for i in range(n_vars)]
-    rows = list(elites)
-    seen = {sum(map(mul, row, strides)) for row in rows}
-    block = rng.random((len(genomes) - len(rows), 2 * n_vars + 4))
-    for picks, cross, mut, nudge in zip(
-        block[:, :2].tolist(),
-        block[:, 2 : 2 + n_vars].tolist(),
-        block[:, 2 + n_vars : 2 + 2 * n_vars].tolist(),
-        block[:, 2 + 2 * n_vars :].tolist(),
-    ):
-        i, j = parent_pair(*picks, len(elites))
-        child = crossover(elites[i], elites[j], cross)
-        child = mutate(child, config.mutation_rate, space, mut)
-        flat = sum(map(mul, child, strides))
-        # Crossover of a small elite pool mostly reproduces the same few
-        # genomes; a duplicate child would just split traffic without adding
-        # information. Nudge a duplicate to a one-gene neighbour until it
-        # differs from every genome already in this generation.
+    strides = _strides(space)
+    block = rng.random((len(genomes) - n_elites, 2 * n_vars + 4))
+    i, j = parent_pair(block[:, 0], block[:, 1], n_elites)
+    children = crossover(elites.take(i, 0), elites.take(j, 0), block[:, 2 : 2 + n_vars])
+    children = mutate(children, config.mutation_rate, space, block[:, 2 + n_vars : -2])
+    bred = np.concatenate([elites, children])
+    flats = (bred @ strides).tolist()
+    # Crossover of a small elite pool mostly reproduces the same few
+    # genomes; a duplicate child would just split traffic without adding
+    # information. Nudge a duplicate to a one-gene neighbour until it
+    # differs from every genome already in this generation.
+    seen = set(flats[:n_elites])
+    nudges = block[:, -2:].tolist()
+    for n, (flat, nudge) in enumerate(zip(flats[n_elites:], nudges), start=n_elites):
         attempts = 0
         while flat in seen and attempts < 64:
             if attempts:
                 nudge = rng.random(2).tolist()
             gene = int(nudge[0] * n_vars)
-            old = child[gene]
-            child[gene] = _other_value(old, cards[gene], nudge[1])
-            flat += (child[gene] - old) * strides[gene]
+            old = int(bred[n, gene])
+            bred[n, gene] = new = _other_value(old, cards[gene], nudge[1])
+            flat += (new - old) * int(strides[gene])
             attempts += 1
         seen.add(flat)
-        rows.append(child)
     new_impressions = np.zeros(len(genomes), dtype=impressions.dtype)
     new_conversions = np.zeros(len(genomes), dtype=conversions.dtype)
-    new_impressions[: len(carried)] = impressions[carried]
-    new_conversions[: len(carried)] = conversions[carried]
-    bred = np.fromiter(chain.from_iterable(rows), np.int64, len(rows) * n_vars)
-    return bred.reshape(len(rows), n_vars), new_impressions, new_conversions
+    new_impressions[:n_elites] = impressions[carried]
+    new_conversions[:n_elites] = conversions[carried]
+    return bred, new_impressions, new_conversions
 
 
 def undominated(conversions: list[int], failures: list[int]) -> list[int]:
@@ -305,6 +312,7 @@ def run_evolution(
     conversions = np.zeros(pop_size, dtype=np.int64)
     # Row g: generation g's flat id per slot; conversions drawn per slot,
     # then the control's.
+    strides = _strides(space)
     ids = np.empty((config.generations, pop_size), dtype=np.intp)
     drawn = np.empty_like(served)
     records: list[GenerationRecord] = []
@@ -312,7 +320,7 @@ def run_evolution(
     for g in range(config.generations):
         # Bred genomes are in range by construction, so the landscape is
         # indexed without true_crs's checks.
-        ids[g] = np.ravel_multi_index(tuple(genomes.T), space.cardinalities)
+        ids[g] = genomes @ strides
         true_crs = evaluator.table.ravel()[ids[g]]
         crs[:-1] = true_crs
         # One draw for every slot, then the control's, in that stream order.

@@ -70,18 +70,3 @@ def control(space: SearchSpace) -> Candidate:
     """The default configuration: first value of every variable."""
     return Candidate((0,) * len(space))
 
-
-def one_gene_variants(space: SearchSpace) -> list[Candidate]:
-    """All candidates differing from control in exactly one variable.
-
-    Order is fixed (variable-major, then value index ascending) so seeded
-    runs are reproducible.
-    """
-    variants = []
-    base = [0] * len(space)
-    for i, k in enumerate(space.cardinalities):
-        for v in range(1, k):
-            choices = list(base)
-            choices[i] = v
-            variants.append(Candidate(choices))
-    return variants

@@ -171,8 +171,7 @@ def _derived_seed(*parts: int) -> np.random.SeedSequence:
 
 
 def _evaluator_for(config: ExperimentConfig, rep: int) -> Evaluator:
-    rep_key = 0 if config.fixed_evaluator else rep
-    seed = int(_derived_seed(config.master_seed, 101, rep_key).generate_state(1)[0])
+    seed = int(_derived_seed(config.master_seed, 101, rep).generate_state(1)[0])
     return sample_evaluator(config.space, config.mode, config.weights, seed)
 
 
@@ -233,12 +232,15 @@ def sweep(config: ExperimentConfig) -> dict[str, np.ndarray]:
     evaluator and total traffic.
 
     Repetitions run outermost, so each repetition's landscape is built once
-    and serves every traffic level; every cell still has its own seeds."""
+    and serves every traffic level; every cell still has its own seeds. A
+    fixed evaluator is repetition 0's landscape, built once for the sweep."""
     array = config.load_design()
     shape = (config.repetitions, len(config.traffic))
     cells = {name: np.empty(shape) for curve in CURVES.values() for name in curve.values()}
+    evaluator = None
     for rep in range(config.repetitions):
-        evaluator = _evaluator_for(config, rep)
+        if evaluator is None or not config.fixed_evaluator:
+            evaluator = _evaluator_for(config, rep)
         for t_idx, total in enumerate(config.traffic):
             tag_rng = np.random.Generator(
                 np.random.PCG64(_derived_seed(config.master_seed, 202, t_idx, rep))
@@ -262,7 +264,7 @@ def result_series(config: ExperimentConfig, cells: dict[str, np.ndarray]) -> Res
         traffic=tuple(config.traffic),
         methods=tuple(methods),
         points={
-            method: tuple(aggregate_runs(column) for column in cells[name].T)
+            method: aggregate_runs(cells[name])
             for method, name in methods.items()
         },
     )

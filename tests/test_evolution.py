@@ -122,9 +122,9 @@ def test_select_elites_matches_posterior_mean_sort():
 def test_crossover_closure_and_gene_pool():
     rng = rng_for(0)
     a, b = [0, 1, 2, 0], [2, 1, 0, 1]
-    assert crossover(a, a, rng.random(4)) == a
+    assert crossover(a, a, rng.random(4)).tolist() == a
     for _ in range(50):
-        child = crossover(a, b, rng.random(4))
+        child = crossover(a, b, rng.random(4)).tolist()
         assert all(g in (x, y) for g, x, y in zip(child, a, b))
     with pytest.raises(ValueError):
         crossover(a, [0, 1], rng.random(4))
@@ -145,8 +145,8 @@ def test_mutate_edges():
     space = SearchSpace([2, 2, 2])
     rng = rng_for(1)
     c = [0, 0, 0]
-    assert mutate(c, 0.0, space, rng.random(3)) == c
-    assert mutate(c, 1.0, space, rng.random(3)) == [1, 1, 1]
+    assert mutate(c, 0.0, space, rng.random(3)).tolist() == c
+    assert mutate(c, 1.0, space, rng.random(3)).tolist() == [1, 1, 1]
     with pytest.raises(ValueError):
         mutate([0, 0], 0.5, space, rng.random(2))
 
@@ -233,11 +233,13 @@ def test_parent_pair_frequency():
 
 
 @st.composite
-def breeding_cases(draw):
-    """(space, distinct genomes, elite indices, mutation rate, seed)."""
+def breeding_cases(draw, distinct=True):
+    """(space, genomes, elite indices, mutation rate, seed). Genomes that
+    need not be distinct may outnumber the space's cells, so nudges can
+    run out."""
     space = SearchSpace(draw(st.lists(st.integers(2, 6), min_size=1, max_size=6)))
     n_cells = space.total_combinations
-    ids = draw(st.lists(st.integers(0, n_cells - 1), min_size=1, max_size=25, unique=True))
+    ids = draw(st.lists(st.integers(0, n_cells - 1), min_size=1, max_size=25, unique=distinct))
     genomes = np.transpose(np.unravel_index(ids, space.cardinalities)).reshape(len(ids), -1)
     elites = draw(st.lists(st.sampled_from(range(len(ids))), min_size=1, unique=True))
     rate = draw(st.sampled_from([0.0, 0.01, 1.0]))
@@ -268,15 +270,78 @@ def test_next_generation_property(case):
     assert not new_imp[e:].any() and not new_conv[e:].any()
     assert ((new >= 0) & (new < np.array(space.cardinalities))).all()
     elite_rows = genomes[elites].tolist()
-    assert len(calls) == len(genomes) - e
+    # One crossover call breeds the whole child block, one row per child.
+    [(parents_a, parents_b, crossed)] = calls
+    assert len(crossed) == len(genomes) - e
     rows = new.tolist()
-    for n, (a, b, bred) in enumerate(calls, start=e):
+    children = zip(parents_a.tolist(), parents_b.tolist(), crossed.tolist())
+    for n, (a, b, bred) in enumerate(children, start=e):
         assert a in elite_rows and b in elite_rows and (a != b or e == 1)
         if rate == 0.0:
             # A child differs from its crossover only when the crossover
             # duplicated a genome already in the generation and was nudged.
             assert rows[n] == bred or bred in rows[:n]
             assert all(g in (x, y) for g, x, y in zip(bred, a, b))
+
+
+MIXED = PRESETS["mixed-nonlinear"].space
+
+
+def reference_next_generation(genomes, impressions, conversions, elite_indices, rate, space, rng):
+    """Breeding one child at a time from the same uniform block: parent pair,
+    crossover, mutation, then dedupe nudges, all on Python ints."""
+
+    def other_value(value, k, u):
+        alt = int(u * (k - 1))
+        return alt if alt < value else alt + 1
+
+    cards = space.cardinalities
+    n_vars = len(cards)
+    strides = [math.prod(cards[i + 1 :]) for i in range(n_vars)]
+    elites = genomes[elite_indices].tolist()
+    e = len(elites)
+    rows = [list(row) for row in elites]
+    seen = {sum(g * s for g, s in zip(row, strides)) for row in rows}
+    for row in rng.random((len(genomes) - e, 2 * n_vars + 4)).tolist():
+        i = int(row[0] * e)
+        j = (i + 1 + int(row[1] * (e - 1))) % e
+        cross, mut, nudge = row[2 : 2 + n_vars], row[2 + n_vars : -2], row[-2:]
+        child = [a if u < 0.5 else b for a, b, u in zip(elites[i], elites[j], cross)]
+        child = [other_value(g, k, q / rate) if q < rate else g for g, k, q in zip(child, cards, mut)]
+        flat = sum(g * s for g, s in zip(child, strides))
+        attempts = 0
+        while flat in seen and attempts < 64:
+            if attempts:
+                nudge = rng.random(2).tolist()
+            gene = int(nudge[0] * n_vars)
+            old = child[gene]
+            child[gene] = other_value(old, cards[gene], nudge[1])
+            flat += (child[gene] - old) * strides[gene]
+            attempts += 1
+        seen.add(flat)
+        rows.append(child)
+    new_imp, new_conv = np.zeros_like(impressions), np.zeros_like(conversions)
+    new_imp[:e] = impressions[elite_indices]
+    new_conv[:e] = conversions[elite_indices]
+    return np.array(rows).reshape(genomes.shape), new_imp, new_conv
+
+
+@pytest.mark.filterwarnings("error")  # a mutation rate of 0 must not divide by it
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(breeding_cases(), breeding_cases(distinct=False)))
+@example((SearchSpace([2, 2]), np.array([[0, 0]] * 6), [0], 0.0, 7))
+@example((MIXED, init_population(MIXED), [3, 0, 9, 21, 4], 0.01, 11))
+def test_next_generation_equals_per_child_reference(case):
+    space, genomes, elites, rate, seed = case
+    imp = np.arange(len(genomes)) + 10
+    conv = np.arange(len(genomes))
+    config = EvolutionConfig(mutation_rate=rate)
+    rng, ref_rng = rng_for(seed), rng_for(seed)
+    got = next_generation(genomes, imp, conv, elites, config, space, rng)
+    expected = reference_next_generation(genomes, imp, conv, elites, rate, space, ref_rng)
+    for a, b in zip(got, expected):
+        assert a.dtype == b.dtype and a.tolist() == b.tolist()
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 @pytest.mark.parametrize("preset", sorted(PRESETS))

@@ -1,10 +1,12 @@
-"""Search space and candidate tests."""
+"""Search space and candidate tests, and the first generation: the
+one-gene variants of the control."""
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from mvtlab.genome import Candidate, SearchSpace, control, one_gene_variants
+from mvtlab.evolution import init_population
+from mvtlab.genome import Candidate, SearchSpace, control
 
 spaces = st.lists(st.integers(min_value=2, max_value=7), min_size=1, max_size=6).map(
     SearchSpace
@@ -56,24 +58,24 @@ def test_candidate_validate_rejects_mismatched_candidate():
 
 
 def test_variant_counts():
-    assert len(one_gene_variants(SearchSpace([2, 4, 5, 3]))) == 10
-    assert [c.choices for c in one_gene_variants(SearchSpace([2]))] == [(1,)]
-    assert len(one_gene_variants(SearchSpace([3, 3, 3, 3]))) == 8
+    assert len(init_population(SearchSpace([2, 4, 5, 3]))) == 10
+    assert init_population(SearchSpace([2])).tolist() == [[1]]
+    assert len(init_population(SearchSpace([3, 3, 3, 3]))) == 8
 
 
 def test_variant_order_is_variable_major():
-    variants = one_gene_variants(SearchSpace([2, 3]))
-    assert [c.choices for c in variants] == [(1, 0), (0, 1), (0, 2)]
+    variants = init_population(SearchSpace([2, 3]))
+    assert variants.tolist() == [[1, 0], [0, 1], [0, 2]]
+    assert variants.dtype == np.int64
 
 
 @given(spaces)
 def test_variants_are_distance_one_and_unique(space):
-    variants = one_gene_variants(space)
+    variants = init_population(space)
     ctrl = control(space)
-    assert len(variants) == sum(k - 1 for k in space.cardinalities)
-    assert len(set(v.choices for v in variants)) == len(variants)
-    for v in variants:
-        v.validate(space)
-        diffs = sum(a != b for a, b in zip(v.choices, ctrl.choices))
-        assert diffs == 1
-    assert ctrl not in variants
+    assert variants.shape == (sum(k - 1 for k in space.cardinalities), len(space))
+    assert len({tuple(v) for v in variants.tolist()}) == len(variants)
+    for v in variants.tolist():
+        Candidate(v).validate(space)
+        assert sum(a != b for a, b in zip(v, ctrl.choices)) == 1
+    assert list(ctrl.choices) not in variants.tolist()

@@ -11,7 +11,7 @@ import pytest
 import scipy
 
 import mvtlab
-from mvtlab import cli
+from mvtlab import cli, harness
 from mvtlab.cli import main as cli_main
 from mvtlab.evaluator import (
     LINEAR,
@@ -33,6 +33,7 @@ from mvtlab.harness import (
     emit_svg,
     parse_config,
     result_series,
+    run_evolution_arm,
     run_experiment,
     run_taguchi_arm,
     sweep,
@@ -155,10 +156,7 @@ def test_sweep_is_one_table_for_every_curve():
         series = result_series(replace(config, curve=curve), cells)
         assert series.methods == tuple(methods)
         for method, name in methods.items():
-            assert series.points[method] == (
-                aggregate_runs(cells[name][:, 0].tolist()),
-                aggregate_runs(cells[name][:, 1].tolist()),
-            )
+            assert series.points[method] == aggregate_runs(cells[name])
 
 
 def test_comparison_series_shape():
@@ -247,6 +245,40 @@ def test_fixed_evaluator_flag_changes_results():
     resampled = smoke_series("setting2-linear", **base)
     fixed = smoke_series("setting2-linear", **base, fixed_evaluator=True)
     assert resampled.points != fixed.points
+
+
+def cell_rng(*parts):
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(list(parts))))
+
+
+def test_fixed_sweep_builds_one_evaluator(monkeypatch):
+    # A fixed landscape is built once for the whole sweep; every cell is the
+    # one a sweep that rebuilt it for each repetition would give.
+    config = smoke_config("setting2-linear", fixed_evaluator=True)
+    built = []
+
+    def spy(*args):
+        built.append(args)
+        return sample_evaluator(*args)
+
+    monkeypatch.setattr(harness, "sample_evaluator", spy)
+    cells = sweep(config)
+    rep0_seed = int(np.random.SeedSequence([config.master_seed, 101, 0]).generate_state(1)[0])
+    assert built == [(config.space, config.mode, config.weights, rep0_seed)]
+    array = config.load_design()
+    for rep in range(config.repetitions):
+        evaluator = sample_evaluator(*built[0])
+        for t_idx, total in enumerate(config.traffic):
+            measured = run_taguchi_arm(
+                array, evaluator, total, cell_rng(config.master_seed, 202, t_idx, rep)
+            )
+            measured.update(
+                run_evolution_arm(
+                    config, evaluator, total, cell_rng(config.master_seed, 303, t_idx, rep)
+                )
+            )
+            for name, value in measured.items():
+                assert cells[name][rep, t_idx] == value, (name, rep, t_idx)
 
 
 def test_parse_config_round_trip():

@@ -93,6 +93,26 @@ def test_simulate_conversions_edges():
         simulate_conversions(1.5, 10, rng)
 
 
+@pytest.mark.parametrize(
+    "size", [1, 2, simstats._SCALAR_DRAWS, simstats._SCALAR_DRAWS + 1, 3 * simstats._SCALAR_DRAWS]
+)
+def test_simulate_conversions_small_arrays_match_one_array_call(size):
+    # Up to the cutoff the draws are scalar calls: the same values, and the
+    # generator left in the same state, as one array call.
+    setup = np.random.Generator(np.random.PCG64(size))
+    impressions = setup.integers(0, 10**7, size)
+    crs = setup.random(size) * 0.2
+    rng, ref_rng = (np.random.Generator(np.random.PCG64(7 + size)) for _ in range(2))
+    for imps in (impressions, impressions.tolist()):
+        got = simulate_conversions(crs, imps, rng)
+        expected = ref_rng.binomial(impressions, crs)
+        assert got.dtype == expected.dtype and got.shape == expected.shape
+        assert got.tolist() == expected.tolist()
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+    with pytest.raises(ValueError):
+        simulate_conversions(np.append(crs[:-1], 1.5), impressions, rng)
+
+
 def test_simulate_conversions_concentration():
     rng = np.random.Generator(np.random.PCG64(99))
     draws = [simulate_conversions(0.05, 10**6, rng) / 10**6 for _ in range(1000)]
@@ -376,18 +396,38 @@ def test_pbc_batch_matches_single():
 
 
 def test_aggregate_runs():
-    mean, lo, hi = aggregate_runs([0.25] * 10)
+    [(mean, lo, hi)] = aggregate_runs([[0.25]] * 10)
     assert (mean, lo, hi) == (0.25, 0.25, 0.25)
-    mean, lo, hi = aggregate_runs(range(1, 21))
+    [(mean, lo, hi)] = aggregate_runs([[v] for v in range(1, 21)])
     assert mean == pytest.approx(10.5)
     assert 1 <= lo <= hi <= 20
     with pytest.raises(ValueError):
-        aggregate_runs([1.0])
+        aggregate_runs([[1.0, 2.0]])
+    with pytest.raises(ValueError):
+        aggregate_runs([1.0, 2.0])
 
 
 @settings(max_examples=50)
 @given(st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=2, max_size=40))
 def test_aggregate_interval_within_sample_range(values):
-    mean, lo, hi = aggregate_runs(values)
+    [(mean, lo, hi)] = aggregate_runs([[v] for v in values])
     assert min(values) - 1e-12 <= lo <= hi <= max(values) + 1e-12
     assert lo - 1e-12 <= mean <= hi + 1e-12
+
+
+@settings(max_examples=50)
+@given(
+    st.integers(2, 60).flatmap(
+        lambda reps: st.lists(
+            st.lists(st.floats(0.0, 1.0), min_size=reps, max_size=reps), min_size=1, max_size=9
+        )
+    )
+)
+def test_aggregate_runs_equals_per_column_reference(columns):
+    # The goldens were written one column at a time, from 1-D means and
+    # percentiles; the whole table must give the same bits.
+    table = np.array(columns).T
+    expected = [
+        (float(np.mean(column)), *np.percentile(column, [2.5, 97.5]).tolist()) for column in columns
+    ]
+    assert list(aggregate_runs(table)) == expected
