@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul
 
 import numpy as np
 
@@ -68,10 +69,10 @@ def init_population(space: SearchSpace) -> np.ndarray:
     return genomes
 
 
-def _strides(space: SearchSpace) -> np.ndarray:
+def _strides(space: SearchSpace) -> list[int]:
     """C-order strides: a genome's flat id is its dot product with these."""
     cards = space.cardinalities
-    return np.array([math.prod(cards[i + 1 :]) for i in range(len(cards))])
+    return [math.prod(cards[i + 1 :]) for i in range(len(cards))]
 
 
 def select_elites(
@@ -84,15 +85,20 @@ def select_elites(
     """Indices of the top ceil(fraction * n) slots by posterior-mean
     conversion rate, ties toward the earlier index, deduplicated by genome
     (slots with equal flat ids)."""
-    if len(ids) == 0:
+    genomes, imps, convs = ids.tolist(), impressions.tolist(), conversions.tolist()
+    if not genomes:
         raise ValueError("cannot select elites from an empty population")
-    if (impressions < 1).any():
+    if min(imps) < 1:
         raise ValueError("every candidate needs at least one impression")
-    n_elites = math.ceil(elite_fraction * len(ids))
-    alphas, betas = posterior(prior, impressions, conversions)
-    genomes = ids.tolist()
+    n_elites = math.ceil(elite_fraction * len(genomes))
+    # posterior()'s conjugate update and the mean, element by element on
+    # Python floats: the same IEEE operations as on arrays, without the
+    # fixed cost of array calls on a small population.
+    a0, b0 = prior.alpha, prior.beta
+    means = [(a0 + c) / ((a0 + c) + (b0 + (n - c))) for n, c in zip(imps, convs)]
     elites, seen = [], set()
-    for i in np.argsort(-(alphas / (alphas + betas)), kind="stable").tolist():
+    # A reversed sort is still stable: equal means keep index order.
+    for i in sorted(range(len(means)), key=means.__getitem__, reverse=True):
         if genomes[i] in seen:
             continue
         seen.add(genomes[i])
@@ -140,6 +146,13 @@ def _other_value(value: int, k: int, u: float) -> int:
     return alt if alt < value else alt + 1
 
 
+# Child blocks of at most this many children are bred one child at a time
+# on Python lists. At two children an array pass is some 25 numpy calls of
+# fixed cost; lists win up to 6 (8 genes) to 10 (3 genes) children, on a
+# 2-core x86-64 box with numpy 2.4 (timings in CHANGES.md).
+_LIST_CHILDREN = 8
+
+
 def next_generation(
     genomes: np.ndarray,
     impressions: np.ndarray,
@@ -156,45 +169,68 @@ def next_generation(
     One rng.random block drives the whole generation. Each child's row holds
     two parent-pair uniforms, one crossover and one mutation uniform per
     gene, then the gene and value uniforms of its first dedupe nudge; any
-    later nudge of the same child draws fresh. Parent picks, crossover and
-    mutation each take every child at once; only the dedupe nudge goes
-    child by child.
+    later nudge of the same child draws fresh. Above _LIST_CHILDREN
+    children, parent picks, crossover and mutation each take every child at
+    once; at or below it each child is bred on Python lists. Both give the
+    same genomes and leave rng in the same state.
     """
     if not elite_indices:
         raise ValueError("no elites available to breed from")
     carried = np.array(elite_indices)
     elites = genomes[carried]
     n_elites, n_vars = elites.shape
-    cards = space.cardinalities
     strides = _strides(space)
     block = rng.random((len(genomes) - n_elites, 2 * n_vars + 4))
-    i, j = parent_pair(block[:, 0], block[:, 1], n_elites)
-    children = crossover(elites.take(i, 0), elites.take(j, 0), block[:, 2 : 2 + n_vars])
-    children = mutate(children, config.mutation_rate, space, block[:, 2 + n_vars : -2])
-    bred = np.concatenate([elites, children])
-    flats = (bred @ strides).tolist()
-    # Crossover of a small elite pool mostly reproduces the same few
-    # genomes; a duplicate child would just split traffic without adding
-    # information. Nudge a duplicate to a one-gene neighbour until it
-    # differs from every genome already in this generation.
+    if len(block) <= _LIST_CHILDREN:
+        # parent_pair, crossover and mutate, child by child on Python lists
+        # with the same arithmetic.
+        rate, cards = config.mutation_rate, space.cardinalities
+        bred = elites.tolist()
+        for u in block.tolist():
+            i = int(u[0] * n_elites)
+            a, b = bred[i], bred[(i + 1 + int(u[1] * (n_elites - 1))) % n_elites]
+            child = [x if c < 0.5 else y for x, y, c in zip(a, b, u[2 : 2 + n_vars])]
+            mut = u[2 + n_vars : -2]
+            # Most children have no hit; a rate of 0 never reaches the division.
+            if min(mut) < rate:
+                child = [
+                    _other_value(g, k, m / rate) if m < rate else g
+                    for g, k, m in zip(child, cards, mut)
+                ]
+            bred.append(child)
+        flats = [sum(map(mul, row, strides)) for row in bred]
+    else:
+        i, j = parent_pair(block[:, 0], block[:, 1], n_elites)
+        children = crossover(elites.take(i, 0), elites.take(j, 0), block[:, 2 : 2 + n_vars])
+        children = mutate(children, config.mutation_rate, space, block[:, 2 + n_vars : -2])
+        bred = np.concatenate([elites, children])
+        flats = (bred @ strides).tolist()
+    _dedupe(bred, flats, n_elites, block[:, -2:].tolist(), space, strides, rng)
+    new_impressions = np.zeros(len(genomes), dtype=impressions.dtype)
+    new_conversions = np.zeros(len(genomes), dtype=conversions.dtype)
+    new_impressions[:n_elites] = impressions[carried]
+    new_conversions[:n_elites] = conversions[carried]
+    return np.asarray(bred, dtype=genomes.dtype), new_impressions, new_conversions
+
+
+def _dedupe(rows, flats: list, n_elites: int, nudges: list, space, strides, rng) -> None:
+    """Crossover of a small elite pool mostly reproduces the same few
+    genomes; a duplicate child would just split traffic without adding
+    information. Nudge each child row, in place and in order, to a one-gene
+    neighbour until its flat id differs from every row's before it."""
+    cards = space.cardinalities
     seen = set(flats[:n_elites])
-    nudges = block[:, -2:].tolist()
     for n, (flat, nudge) in enumerate(zip(flats[n_elites:], nudges), start=n_elites):
         attempts = 0
         while flat in seen and attempts < 64:
             if attempts:
                 nudge = rng.random(2).tolist()
-            gene = int(nudge[0] * n_vars)
-            old = int(bred[n, gene])
-            bred[n, gene] = new = _other_value(old, cards[gene], nudge[1])
-            flat += (new - old) * int(strides[gene])
+            gene = int(nudge[0] * len(cards))
+            old = int(rows[n][gene])
+            rows[n][gene] = new = _other_value(old, cards[gene], nudge[1])
+            flat += (new - old) * strides[gene]
             attempts += 1
         seen.add(flat)
-    new_impressions = np.zeros(len(genomes), dtype=impressions.dtype)
-    new_conversions = np.zeros(len(genomes), dtype=conversions.dtype)
-    new_impressions[:n_elites] = impressions[carried]
-    new_conversions[:n_elites] = conversions[carried]
-    return bred, new_impressions, new_conversions
 
 
 def undominated(conversions: list[int], failures: list[int]) -> list[int]:
@@ -312,7 +348,7 @@ def run_evolution(
     conversions = np.zeros(pop_size, dtype=np.int64)
     # Row g: generation g's flat id per slot; conversions drawn per slot,
     # then the control's.
-    strides = _strides(space)
+    strides = np.array(_strides(space))
     ids = np.empty((config.generations, pop_size), dtype=np.intp)
     drawn = np.empty_like(served)
     records: list[GenerationRecord] = []

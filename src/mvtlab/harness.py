@@ -7,7 +7,6 @@ import ast
 import hashlib
 import json
 import platform
-import xml.sax.saxutils as saxutils
 from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
@@ -282,6 +281,13 @@ def emit_csv(series: ResultSeries, path) -> None:
 _SVG_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd")
 
 
+def _escape(text: str) -> str:
+    """Text as SVG character data: &, < and > escaped, & first, as
+    xml.sax.saxutils.escape does; importing that module pulls in ssl, http
+    and email."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def emit_svg(series: ResultSeries, path, title: str = "") -> None:
     """Standalone SVG: one mean polyline plus a shaded interval band per
     method, traffic on a log axis."""
@@ -310,7 +316,7 @@ def emit_svg(series: ResultSeries, path, title: str = "") -> None:
     if title:
         parts.append(
             f'<text x="{width / 2:.1f}" y="24" text-anchor="middle" '
-            f'font-size="16">{saxutils.escape(title)}</text>'
+            f'font-size="16">{_escape(title)}</text>'
         )
     # axes
     parts.append(
@@ -351,7 +357,7 @@ def emit_svg(series: ResultSeries, path, title: str = "") -> None:
         )
         parts.append(
             f'<text x="{width - mr - 112}" y="{ly + 4}" font-size="12" '
-            f'class="legend">{saxutils.escape(method)}</text>'
+            f'class="legend">{_escape(method)}</text>'
         )
     parts.append("</svg>")
     Path(path).write_text("\n".join(parts) + "\n")

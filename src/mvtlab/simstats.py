@@ -67,12 +67,16 @@ def simulate_conversions(true_cr, impressions, rng: np.random.Generator):
     element from the stream, the same values as one scalar call each, so a
     short 1-D array is drawn by scalar calls, which cost less there."""
     crs = np.asarray(true_cr, dtype=float)
-    if not ((crs >= 0.0) & (crs <= 1.0)).all():
-        raise ValueError(f"true conversion rate {true_cr} outside [0, 1]")
     counts = np.asarray(impressions)
     if crs.ndim == 1 and counts.shape == crs.shape and len(crs) <= _SCALAR_DRAWS:
-        draws = zip(counts.tolist(), crs.tolist())
+        rates = crs.tolist()
+        # Written so that NaN fails it, as it fails the array check.
+        if not all(0.0 <= p <= 1.0 for p in rates):
+            raise ValueError(f"true conversion rate {true_cr} outside [0, 1]")
+        draws = zip(counts.tolist(), rates)
         return np.array([rng.binomial(n, p) for n, p in draws], dtype=np.int64)
+    if not ((crs >= 0.0) & (crs <= 1.0)).all():
+        raise ValueError(f"true conversion rate {true_cr} outside [0, 1]")
     return rng.binomial(counts, crs)
 
 

@@ -213,6 +213,29 @@ def test_emit_svg_well_formed(tmp_path):
     assert len(legend) == 3
 
 
+def test_emit_svg_escapes_markup(tmp_path, monkeypatch):
+    # &, < and > in a title or method name are written as
+    # xml.sax.saxutils.escape writes them, byte for byte; quotes stay.
+    from xml.sax.saxutils import escape
+
+    methods = ("a&b", "<c>", "d\"'&amp;")
+    series = ResultSeries(
+        traffic=(1000, 10000),
+        methods=methods,
+        points={m: [(0.01, 0.005, 0.02), (0.02, 0.01, 0.03)] for m in methods},
+    )
+    title = "T & <x> \"q\""
+    emit_svg(series, tmp_path / "local.svg", title=title)
+    monkeypatch.setattr(harness, "_escape", escape)
+    emit_svg(series, tmp_path / "saxutils.svg", title=title)
+    written = (tmp_path / "local.svg").read_bytes()
+    assert written == (tmp_path / "saxutils.svg").read_bytes()
+    assert b'font-size="16">T &amp; &lt;x&gt; "q"</text>' in written
+    assert b'class="legend">d"\'&amp;amp;</text>' in written
+    root = ET.parse(tmp_path / "local.svg").getroot()
+    assert [el.text for el in root.iter() if el.get("class") == "legend"] == list(methods)
+
+
 def test_emit_svg_rejects_empty_series(tmp_path):
     empty = ResultSeries(traffic=(), methods=(), points={})
     with pytest.raises(ValueError):

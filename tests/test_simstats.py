@@ -109,8 +109,10 @@ def test_simulate_conversions_small_arrays_match_one_array_call(size):
         assert got.dtype == expected.dtype and got.shape == expected.shape
         assert got.tolist() == expected.tolist()
         assert rng.bit_generator.state == ref_rng.bit_generator.state
-    with pytest.raises(ValueError):
-        simulate_conversions(np.append(crs[:-1], 1.5), impressions, rng)
+    # The scalar path checks its own list of rates; NaN fails there too.
+    for bad in (1.5, -0.1, np.nan):
+        with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
+            simulate_conversions(np.append(crs[:-1], bad), impressions, rng)
 
 
 def test_simulate_conversions_concentration():
