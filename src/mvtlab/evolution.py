@@ -4,16 +4,18 @@ The first generation is every one-gene variant of the control; later
 generations keep the top-ranked elites (with their accumulated statistics)
 and refill the rest by uniform crossover of elite pairs plus per-gene
 mutation. The winner is the tested candidate with the highest probability
-to beat control. A population is an (n, variables) int array of genomes
-with per-slot impression and conversion count arrays; a genome is identified
-by its flat (C-order) index into the evaluator's landscape tensor, in
-breeding's duplicate check as everywhere else.
+to beat control. A genome is identified by its flat (C-order) index into
+the evaluator's landscape tensor, in breeding's duplicate check as
+everywhere else. Between generations a population is each slot's flat id
+and accumulated impression and conversion counts, as lists of Python ints;
+breeding unravels elites into genome rows, one value index per variable.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from operator import mul
 
 import numpy as np
@@ -76,32 +78,31 @@ def _strides(space: SearchSpace) -> list[int]:
 
 
 def select_elites(
-    ids: np.ndarray,
-    impressions: np.ndarray,
-    conversions: np.ndarray,
+    ids: list[int],
+    impressions: list[int],
+    conversions: list[int],
     elite_fraction: float,
     prior: BetaPosterior,
 ) -> list[int]:
     """Indices of the top ceil(fraction * n) slots by posterior-mean
     conversion rate, ties toward the earlier index, deduplicated by genome
     (slots with equal flat ids)."""
-    genomes, imps, convs = ids.tolist(), impressions.tolist(), conversions.tolist()
-    if not genomes:
+    if not ids:
         raise ValueError("cannot select elites from an empty population")
-    if min(imps) < 1:
+    if min(impressions) < 1:
         raise ValueError("every candidate needs at least one impression")
-    n_elites = math.ceil(elite_fraction * len(genomes))
+    n_elites = math.ceil(elite_fraction * len(ids))
     # posterior()'s conjugate update and the mean, element by element on
     # Python floats: the same IEEE operations as on arrays, without the
     # fixed cost of array calls on a small population.
     a0, b0 = prior.alpha, prior.beta
-    means = [(a0 + c) / ((a0 + c) + (b0 + (n - c))) for n, c in zip(imps, convs)]
+    means = [(a0 + c) / ((a0 + c) + (b0 + (n - c))) for n, c in zip(impressions, conversions)]
     elites, seen = [], set()
     # A reversed sort is still stable: equal means keep index order.
     for i in sorted(range(len(means)), key=means.__getitem__, reverse=True):
-        if genomes[i] in seen:
+        if ids[i] in seen:
             continue
-        seen.add(genomes[i])
+        seen.add(ids[i])
         elites.append(i)
         if len(elites) == n_elites:
             break
@@ -154,17 +155,18 @@ _LIST_CHILDREN = 8
 
 
 def next_generation(
-    genomes: np.ndarray,
-    impressions: np.ndarray,
-    conversions: np.ndarray,
+    ids: list[int],
+    impressions: list[int],
+    conversions: list[int],
     elite_indices: list[int],
     config: EvolutionConfig,
     space: SearchSpace,
     rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[list[int], list[int], list[int]]:
     """Elites pass through with their accumulated stats; the remaining slots
     are crossover children of elite pairs, then mutated, with no stats yet.
-    Returns (genomes, impressions, conversions); size is unchanged.
+    A population is each slot's flat id and accumulated counts, as lists;
+    returns the next one as (ids, impressions, conversions), same size.
 
     One rng.random block drives the whole generation. Each child's row holds
     two parent-pair uniforms, one crossover and one mutation uniform per
@@ -176,16 +178,15 @@ def next_generation(
     """
     if not elite_indices:
         raise ValueError("no elites available to breed from")
-    carried = np.array(elite_indices)
-    elites = genomes[carried]
-    n_elites, n_vars = elites.shape
-    strides = _strides(space)
-    block = rng.random((len(genomes) - n_elites, 2 * n_vars + 4))
+    strides, cards = _strides(space), space.cardinalities
+    elites = [[ids[i] // s % k for s, k in zip(strides, cards)] for i in elite_indices]
+    n_elites, n_vars = len(elites), len(cards)
+    block = rng.random((len(ids) - n_elites, 2 * n_vars + 4))
     if len(block) <= _LIST_CHILDREN:
         # parent_pair, crossover and mutate, child by child on Python lists
         # with the same arithmetic.
-        rate, cards = config.mutation_rate, space.cardinalities
-        bred = elites.tolist()
+        rate = config.mutation_rate
+        bred = elites
         for u in block.tolist():
             i = int(u[0] * n_elites)
             a, b = bred[i], bred[(i + 1 + int(u[1] * (n_elites - 1))) % n_elites]
@@ -200,24 +201,28 @@ def next_generation(
             bred.append(child)
         flats = [sum(map(mul, row, strides)) for row in bred]
     else:
+        parents = np.array(elites)
         i, j = parent_pair(block[:, 0], block[:, 1], n_elites)
-        children = crossover(elites.take(i, 0), elites.take(j, 0), block[:, 2 : 2 + n_vars])
+        children = crossover(parents.take(i, 0), parents.take(j, 0), block[:, 2 : 2 + n_vars])
         children = mutate(children, config.mutation_rate, space, block[:, 2 + n_vars : -2])
-        bred = np.concatenate([elites, children])
+        bred = np.concatenate([parents, children])
         flats = (bred @ strides).tolist()
+        bred = bred.tolist()
     _dedupe(bred, flats, n_elites, block[:, -2:].tolist(), space, strides, rng)
-    new_impressions = np.zeros(len(genomes), dtype=impressions.dtype)
-    new_conversions = np.zeros(len(genomes), dtype=conversions.dtype)
-    new_impressions[:n_elites] = impressions[carried]
-    new_conversions[:n_elites] = conversions[carried]
-    return np.asarray(bred, dtype=genomes.dtype), new_impressions, new_conversions
+    unseen = [0] * len(block)
+    return (
+        flats,
+        [impressions[i] for i in elite_indices] + unseen,
+        [conversions[i] for i in elite_indices] + unseen,
+    )
 
 
-def _dedupe(rows, flats: list, n_elites: int, nudges: list, space, strides, rng) -> None:
+def _dedupe(rows: list, flats: list, n_elites: int, nudges: list, space, strides, rng) -> None:
     """Crossover of a small elite pool mostly reproduces the same few
     genomes; a duplicate child would just split traffic without adding
     information. Nudge each child row, in place and in order, to a one-gene
-    neighbour until its flat id differs from every row's before it."""
+    neighbour until its flat id differs from every row's before it, and
+    update its flat id to match."""
     cards = space.cardinalities
     seen = set(flats[:n_elites])
     for n, (flat, nudge) in enumerate(zip(flats[n_elites:], nudges), start=n_elites):
@@ -226,11 +231,12 @@ def _dedupe(rows, flats: list, n_elites: int, nudges: list, space, strides, rng)
             if attempts:
                 nudge = rng.random(2).tolist()
             gene = int(nudge[0] * len(cards))
-            old = int(rows[n][gene])
+            old = rows[n][gene]
             rows[n][gene] = new = _other_value(old, cards[gene], nudge[1])
             flat += (new - old) * strides[gene]
             attempts += 1
         seen.add(flat)
+        flats[n] = flat
 
 
 def undominated(conversions: list[int], failures: list[int]) -> list[int]:
@@ -253,15 +259,13 @@ def undominated(conversions: list[int], failures: list[int]) -> list[int]:
 
 
 def beat_control_winner(
-    impressions: np.ndarray,
-    conversions: np.ndarray,
-    ctrl_impressions: int,
-    ctrl_conversions: int,
-) -> tuple[int | None, float]:
-    """The index of the tested genome with the highest probability to beat
-    control (None for the control), and that probability, under posteriors
-    smoothed by the pooled prior. Element i of the count arrays is genome i's
-    accumulated evidence.
+    cells: list[tuple[np.ndarray, np.ndarray, int, int]],
+) -> list[tuple[int | None, float]]:
+    """Per cell of evidence (impressions, conversions, ctrl_impressions,
+    ctrl_conversions): the index of the tested genome with the highest
+    probability to beat control (None for the control), and that
+    probability, under posteriors smoothed by the cell's pooled prior.
+    Element i of a cell's count arrays is genome i's accumulated evidence.
 
     The control is itself a tested candidate (PBC exactly 1/2 against its
     own posterior), so nothing with worse evidence than the default can
@@ -273,42 +277,113 @@ def beat_control_winner(
     the pooled prior, so one with no fewer conversions and no more failures
     than another has a stochastically larger posterior: no lower PBC and,
     counts differing, a strictly higher mean. A dominated genome cannot win.
-    Kept genomes stay in tested order, and a pair's PBC does not depend on
-    the rest of its batch, so the winner and its PBC are those of the full
-    computation.
+    Kept genomes stay in tested order. Every cell's kept genomes go to one
+    prob_beats_control call, each against its own cell's control, and a
+    pair's PBC does not depend on the rest of its batch, so each cell's
+    winner and its PBC are those of the full computation for that cell
+    alone.
     """
-    prior = global_prior(
-        int(impressions.sum()) + ctrl_impressions, int(conversions.sum()) + ctrl_conversions
-    )
-    ctrl_post = BetaPosterior(*posterior(prior, ctrl_impressions, ctrl_conversions))
-    front = undominated(conversions.tolist(), (impressions - conversions).tolist())
-    alphas, betas = posterior(prior, impressions[front], conversions[front])
-    pbcs = [0.5, *prob_beats_control((alphas, betas), ctrl_post).tolist()]
-    means = [ctrl_post.mean, *(alphas / (alphas + betas)).tolist()]
-    best = max(range(len(pbcs)), key=lambda i: (round(pbcs[i] / PBC_TOL), means[i]))
-    return (front[best - 1] if best else None), pbcs[best]
+    fronts, ctrl_means, alphas, betas, ctrl_alphas, ctrl_betas = [], [], [], [], [], []
+    for impressions, conversions, ctrl_impressions, ctrl_conversions in cells:
+        prior = global_prior(
+            int(impressions.sum()) + ctrl_impressions, int(conversions.sum()) + ctrl_conversions
+        )
+        ctrl_post = BetaPosterior(*posterior(prior, ctrl_impressions, ctrl_conversions))
+        front = undominated(conversions.tolist(), (impressions - conversions).tolist())
+        a, b = posterior(prior, impressions[front], conversions[front])
+        fronts.append(front)
+        ctrl_means.append(ctrl_post.mean)
+        alphas += a.tolist()
+        betas += b.tolist()
+        ctrl_alphas += [ctrl_post.alpha] * len(front)
+        ctrl_betas += [ctrl_post.beta] * len(front)
+    pbcs = prob_beats_control((alphas, betas), (ctrl_alphas, ctrl_betas)).tolist()
+    winners, start = [], 0
+    for front, ctrl_mean in zip(fronts, ctrl_means):
+        stop = start + len(front)
+        cell_pbcs = [0.5, *pbcs[start:stop]]
+        means = [ctrl_mean, *(a / (a + b) for a, b in zip(alphas[start:stop], betas[start:stop]))]
+        best = max(range(len(cell_pbcs)), key=lambda i: (round(cell_pbcs[i] / PBC_TOL), means[i]))
+        winners.append(((front[best - 1] if best else None), cell_pbcs[best]))
+        start = stop
+    return winners
 
 
 @dataclass(frozen=True)
 class EvolutionResult:
-    """`tested`: the distinct genomes served, one row each in first-tested
-    order, with count arrays aligned to it (the control's own share aside)."""
+    """One run's evidence. `tested`: the distinct genomes served, one row
+    each in first-tested order, with count arrays aligned to it; the
+    control's own share is counted apart. `generations` logs each
+    generation as (flat ids, impressions, conversions, true CRs, elite
+    indices), the counts and rates as lists. The records and the winner are
+    built from these on first access."""
 
-    records: tuple
-    winner: Candidate
-    winner_pbc: float
+    space: SearchSpace
     tested: np.ndarray
     tested_impressions: np.ndarray
     tested_conversions: np.ndarray
+    control_impressions: int
+    control_conversions: int
+    generations: tuple
+
+    @property
+    def evidence(self) -> tuple:
+        """This run's cell of beat_control_winner's argument."""
+        return (
+            self.tested_impressions,
+            self.tested_conversions,
+            self.control_impressions,
+            self.control_conversions,
+        )
+
+    @property
+    def true_crs(self) -> list[list[float]]:
+        """Each generation's true conversion rate per slot."""
+        return [crs for _, _, _, crs, _ in self.generations]
+
+    @cached_property
+    def records(self) -> tuple[GenerationRecord, ...]:
+        return tuple(
+            GenerationRecord(
+                g,
+                np.transpose(np.unravel_index(ids, self.space.cardinalities)),
+                np.array(imps),
+                np.array(convs),
+                np.array(crs),
+                elites,
+            )
+            for g, (ids, imps, convs, crs, elites) in enumerate(self.generations)
+        )
+
+    def candidate(self, index: int | None) -> Candidate:
+        """The tested genome a beat_control_winner index names; the control
+        for None."""
+        return control(self.space) if index is None else Candidate(self.tested[index])
+
+    @cached_property
+    def _choice(self) -> tuple[int | None, float]:
+        [choice] = beat_control_winner([self.evidence])
+        return choice
+
+    @property
+    def winner(self) -> Candidate:
+        return self.candidate(self._choice[0])
+
+    @property
+    def winner_pbc(self) -> float:
+        return self._choice[1]
 
 
-def tally(ids: np.ndarray, impressions: np.ndarray, conversions: np.ndarray):
-    """(distinct ids, summed impressions, summed conversions), one element per
-    distinct id in order of first appearance in `ids`."""
-    unique, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    sums = (np.bincount(inverse, weights=counts) for counts in (impressions, conversions))
-    return unique[order], *(s.astype(np.int64)[order] for s in sums)
+def tally(ids: list[int], impressions: list[int], conversions: list[int]):
+    """(distinct ids, summed impressions, summed conversions) as int arrays,
+    one element per distinct id in order of first appearance in `ids`."""
+    sums: dict[int, list[int]] = {}
+    for i, n, c in zip(ids, impressions, conversions):
+        total = sums.setdefault(i, [0, 0])
+        total[0] += n
+        total[1] += c
+    counts = np.array(list(sums.values()), dtype=np.int64).reshape(-1, 2)
+    return np.array(list(sums), dtype=np.int64), counts[:, 0], counts[:, 1]
 
 
 def run_evolution(
@@ -332,61 +407,56 @@ def run_evolution(
         )
 
     space = evaluator.space
-    ctrl = control(space)
-    genomes = init_population(space)
-    pop_size = len(genomes)
+    # The population: each slot's flat id, with its accumulated counts.
+    ids = (init_population(space) @ _strides(space)).tolist()
+    pop_size = len(ids)
+    impressions = conversions = [0] * pop_size
     for g, slots in enumerate(traffic_plan):
         if len(slots) != pop_size:
             raise ValueError(
                 f"generation {g} plan has {len(slots)} slots for {pop_size} candidates"
             )
-    # Row g: generation g's impressions per slot, then the control's share.
-    served = np.array([[*slots, slots[0]] for slots in traffic_plan])
-    # This generation's true rates per slot, then the control's.
-    crs = np.append(np.zeros(pop_size), evaluator.true_crs([ctrl.choices]))
-    impressions = np.zeros(pop_size, dtype=np.int64)
-    conversions = np.zeros(pop_size, dtype=np.int64)
-    # Row g: generation g's flat id per slot; conversions drawn per slot,
-    # then the control's.
-    strides = np.array(_strides(space))
-    ids = np.empty((config.generations, pop_size), dtype=np.intp)
-    drawn = np.empty_like(served)
-    records: list[GenerationRecord] = []
+    landscape = evaluator.table.ravel()
+    # The control, every variable at its first value, has flat id 0.
+    ctrl_cr = float(landscape[0])
+    # Every slot's flat id and conversions drawn, generation by generation.
+    served_ids, served_conversions = [], []
+    ctrl_impressions = ctrl_conversions = 0
+    generations = []
 
-    for g in range(config.generations):
+    for g, slots in enumerate(traffic_plan):
         # Bred genomes are in range by construction, so the landscape is
         # indexed without true_crs's checks.
-        ids[g] = genomes @ strides
-        true_crs = evaluator.table.ravel()[ids[g]]
-        crs[:-1] = true_crs
+        true_crs = landscape[ids].tolist()
         # One draw for every slot, then the control's, in that stream order.
-        drawn[g] = simulate_conversions(crs, served[g], rng)
-        impressions = impressions + served[g, :-1]
-        conversions = conversions + drawn[g, :-1]
+        *drawn, ctrl_drawn = simulate_conversions(
+            [*true_crs, ctrl_cr], [*slots, slots[0]], rng
+        ).tolist()
+        ctrl_impressions += slots[0]
+        ctrl_conversions += ctrl_drawn
+        served_ids += ids
+        served_conversions += drawn
+        impressions = [n + s for n, s in zip(impressions, slots)]
+        conversions = [c + d for c, d in zip(conversions, drawn)]
 
         # The pooled prior depends only on the population's totals.
-        prior = global_prior(int(impressions.sum()), int(conversions.sum()))
-        elite_idx = select_elites(ids[g], impressions, conversions, config.elite_fraction, prior)
-        records.append(
-            GenerationRecord(g, genomes, impressions, conversions, true_crs, elite_idx)
-        )
+        prior = global_prior(sum(impressions), sum(conversions))
+        elite_idx = select_elites(ids, impressions, conversions, config.elite_fraction, prior)
+        generations.append((ids, impressions, conversions, true_crs, elite_idx))
         if g + 1 < config.generations:
-            genomes, impressions, conversions = next_generation(
-                genomes, impressions, conversions, elite_idx, config, space, rng
+            ids, impressions, conversions = next_generation(
+                ids, impressions, conversions, elite_idx, config, space, rng
             )
 
     tested_ids, tested_imp, tested_conv = tally(
-        ids.ravel(), served[:, :-1].ravel(), drawn[:, :-1].ravel()
+        served_ids, [n for slots in traffic_plan for n in slots], served_conversions
     )
-    best, winner_pbc = beat_control_winner(
-        tested_imp, tested_conv, int(served[:, -1].sum()), int(drawn[:, -1].sum())
-    )
-    tested = np.transpose(np.unravel_index(tested_ids, space.cardinalities))
     return EvolutionResult(
-        records=tuple(records),
-        winner=ctrl if best is None else Candidate(tested[best]),
-        winner_pbc=winner_pbc,
-        tested=tested,
+        space=space,
+        tested=np.transpose(np.unravel_index(tested_ids, space.cardinalities)),
         tested_impressions=tested_imp,
         tested_conversions=tested_conv,
+        control_impressions=ctrl_impressions,
+        control_conversions=ctrl_conversions,
+        generations=tuple(generations),
     )

@@ -24,7 +24,7 @@ from .evaluator import (
     check_weights,
     sample_evaluator,
 )
-from .evolution import EvolutionConfig, run_evolution
+from .evolution import EvolutionConfig, EvolutionResult, beat_control_winner, run_evolution
 from .genome import SearchSpace
 from .simstats import aggregate_runs, allocate_evolution, allocate_taguchi, simulate_conversions
 from .taguchi import (
@@ -208,21 +208,18 @@ def run_evolution_arm(
     evaluator: Evaluator,
     total_traffic: int,
     rng: np.random.Generator,
-) -> dict[str, float]:
-    """Run the evolutionary optimizer on the traffic plan and read off its
-    winner's true conversion rate and the impression-weighted true
+) -> tuple[EvolutionResult, float]:
+    """Run the evolutionary optimizer on the traffic plan: its result, whose
+    winner beat_control_winner picks, and the impression-weighted true
     conversion rate of all traffic served."""
     pop_size = sum(k - 1 for k in config.space.cardinalities)
     plan = allocate_evolution(total_traffic, config.evolution.generations, pop_size)
     result = run_evolution(evaluator, plan, config.evolution, rng)
     served = 0.0
-    for record, slots in zip(result.records, plan):
-        for impressions, cr in zip(slots, record.true_crs.tolist()):
+    for crs, slots in zip(result.true_crs, plan):
+        for impressions, cr in zip(slots, crs):
             served += impressions * cr
-    return {
-        "winner_cr": evaluator.true_cr(result.winner),
-        "evolution_served": served / total_traffic,
-    }
+    return result, served / total_traffic
 
 
 def sweep(config: ExperimentConfig) -> dict[str, np.ndarray]:
@@ -232,7 +229,9 @@ def sweep(config: ExperimentConfig) -> dict[str, np.ndarray]:
 
     Repetitions run outermost, so each repetition's landscape is built once
     and serves every traffic level; every cell still has its own seeds. A
-    fixed evaluator is repetition 0's landscape, built once for the sweep."""
+    fixed evaluator is repetition 0's landscape, built once for the sweep.
+    A repetition's evolution winners are picked together, in one
+    beat_control_winner call over its cells."""
     array = config.load_design()
     shape = (config.repetitions, len(config.traffic))
     cells = {name: np.empty(shape) for curve in CURVES.values() for name in curve.values()}
@@ -240,6 +239,7 @@ def sweep(config: ExperimentConfig) -> dict[str, np.ndarray]:
     for rep in range(config.repetitions):
         if evaluator is None or not config.fixed_evaluator:
             evaluator = _evaluator_for(config, rep)
+        results = []
         for t_idx, total in enumerate(config.traffic):
             tag_rng = np.random.Generator(
                 np.random.PCG64(_derived_seed(config.master_seed, 202, t_idx, rep))
@@ -248,9 +248,15 @@ def sweep(config: ExperimentConfig) -> dict[str, np.ndarray]:
                 np.random.PCG64(_derived_seed(config.master_seed, 303, t_idx, rep))
             )
             measured = run_taguchi_arm(array, evaluator, total, tag_rng)
-            measured.update(run_evolution_arm(config, evaluator, total, evo_rng))
+            result, measured["evolution_served"] = run_evolution_arm(
+                config, evaluator, total, evo_rng
+            )
+            results.append(result)
             for name, value in measured.items():
                 cells[name][rep, t_idx] = value
+        winners = beat_control_winner([result.evidence for result in results])
+        for t_idx, (result, (best, _)) in enumerate(zip(results, winners)):
+            cells["winner_cr"][rep, t_idx] = evaluator.true_cr(result.candidate(best))
     return cells
 
 

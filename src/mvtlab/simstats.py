@@ -122,12 +122,14 @@ _MAX_SPLITS = 40
 _MAX_PIECES = 1000
 
 
-def prob_beats_control(cand, control: BetaPosterior):
+def prob_beats_control(cand, control):
     """P(candidate CR > control CR) for independent Beta posteriors, in one
     vectorised pass: a float for one candidate BetaPosterior, or an array
     for a batch given as its (alphas, betas) arrays, as posterior() returns
     them for count arrays, element i for candidate Beta(alphas[i],
-    betas[i]).
+    betas[i]). The control is one BetaPosterior for every candidate, or,
+    for a batch, its own (alphas, betas) arrays aligned with the
+    candidates', element i the control of pair i.
 
     Each pair is integrated over whichever density is narrower, on its
     16-standard-deviation window, with fixed 64- and 96-node Gauss-Legendre
@@ -143,7 +145,14 @@ def prob_beats_control(cand, control: BetaPosterior):
     alphas, betas = ([cand.alpha], [cand.beta]) if single else cand
     a_c = np.asarray(alphas, dtype=float)
     b_c = np.asarray(betas, dtype=float)
-    a_k, b_k = control.alpha, control.beta
+    if isinstance(control, BetaPosterior):
+        a_k, b_k = control.alpha, control.beta
+    else:
+        a_k, b_k = (np.asarray(x, dtype=float) for x in control)
+        if not a_k.shape == b_k.shape == a_c.shape:
+            raise ValueError(
+                f"control batch of shapes {a_k.shape} and {b_k.shape} for candidates {a_c.shape}"
+            )
     cand_narrower = _variance(a_c, b_c) < _variance(a_k, b_k)
     a_int = np.where(cand_narrower, a_c, a_k)
     b_int = np.where(cand_narrower, b_c, b_k)

@@ -1,6 +1,6 @@
 """The names the benchmark's tracer (perfbench/tracing.py) looks up in
-mvtlab must keep resolving, a traced evolution run must keep working, and
-the benchmark's set-up code (SETUP_CODE in perfbench/run.py) must keep
+mvtlab must keep resolving, a traced evolution run and a traced sweep must
+keep calling every traced entry point, and the benchmark's set-up code (SETUP_CODE in perfbench/run.py) must keep
 running for every workload, and a traced benchmark run must end in a
 result line: a rename or a changed result shape would otherwise break the
 benchmark without failing any other test. The benchmark's files are
@@ -11,15 +11,17 @@ import json
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import mvtlab.cli  # the tracer resolves names through sys.modules
-from mvtlab import evolution
+from mvtlab import evolution, harness
 from mvtlab.evaluator import LINEAR, sample_evaluator
 from mvtlab.genome import SearchSpace
+from mvtlab.harness import PRESETS
 from mvtlab.simstats import allocate_evolution
 
 PERFBENCH = Path(__file__).parents[1] / "perfbench"
@@ -45,6 +47,8 @@ def test_traced_names_resolve(tracing):
 
 
 def test_traced_evolution_run(tracing):
+    # A loop that bypassed a traced entry point would zero its layer's
+    # metrics without failing the benchmark, so each must see calls.
     space = SearchSpace([2, 2, 2])
     evaluator = sample_evaluator(space, LINEAR, seed=0)
     config = evolution.EvolutionConfig()
@@ -53,12 +57,31 @@ def test_traced_evolution_run(tracing):
         result = evolution.run_evolution(
             evaluator, plan, config, np.random.Generator(np.random.PCG64(0))
         )
+        result.winner  # picked on first access
     assert tracer.missing == []
     assert tracer.counts["evolution.tested"] == len(result.tested) > 0
     assert tracer.counts["evolution.slots"] == 3 * config.generations
     summary = tracer.summary()
-    for name in ("evolution.run_evolution", "evolution.select_elites", "simstats.global_prior"):
+    for name in (
+        "evolution.run_evolution",
+        "evolution.select_elites",
+        "evolution.next_generation",
+        "simstats.global_prior",
+        "simstats.prob_beats_control",
+    ):
         assert summary[name]["calls"] >= 1, name
+
+
+def test_traced_sweep_sees_every_cell(tracing):
+    config = replace(PRESETS["setting1-linear"], repetitions=2, traffic=(1_000, 10_000, 100_000))
+    with tracing.Tracer() as tracer:
+        harness.sweep(config)
+    summary = tracer.summary()
+    cells = config.repetitions * len(config.traffic)
+    assert summary["evolution.run_evolution"]["calls"] == cells
+    assert summary["harness.run_evolution_arm"]["calls"] == cells
+    # One beat-control pass per repetition, over all of its cells.
+    assert summary["simstats.prob_beats_control"]["calls"] == config.repetitions
 
 
 def test_setup_code_runs_for_every_workload(tracing, monkeypatch, capsys):

@@ -62,15 +62,26 @@ def counts(pairs):
     return np.array(imp), np.array(conv)
 
 
+def count_lists(pairs):
+    """(impressions, conversions) lists from (impressions, conversions) pairs."""
+    imp, conv = zip(*pairs)
+    return list(imp), list(conv)
+
+
 def flat_ids(genomes, space):
     """Each genome row's flat index into the space's landscape tensor."""
-    return np.ravel_multi_index(tuple(np.asarray(genomes).T), space.cardinalities)
+    return np.ravel_multi_index(tuple(np.asarray(genomes).T), space.cardinalities).tolist()
+
+
+def genome_rows(ids, space):
+    """The genome row, one value index per variable, of each flat id."""
+    return np.transpose(np.unravel_index(ids, space.cardinalities)).tolist()
 
 
 def test_select_elites_count_and_tie_break():
     space = SearchSpace([2, 4, 5, 3])
     ids = flat_ids(init_population(space), space)
-    imp, conv = counts([(100, 5)] * 10)
+    imp, conv = count_lists([(100, 5)] * 10)
     prior = global_prior(1000, 50)
     elites = select_elites(ids, imp, conv, 0.20, prior)
     assert elites == [0, 1]  # all tied -> earliest indices
@@ -79,7 +90,7 @@ def test_select_elites_count_and_tie_break():
 def test_select_elites_dominant_candidate_first():
     space = SearchSpace([3, 3])
     ids = flat_ids(init_population(space), space)
-    imp, conv = counts([(100, 0)] * 3 + [(100, 100)])
+    imp, conv = count_lists([(100, 0)] * 3 + [(100, 100)])
     prior = global_prior(400, 100)
     assert select_elites(ids, imp, conv, 0.25, prior)[0] == 3
 
@@ -87,15 +98,14 @@ def test_select_elites_dominant_candidate_first():
 def test_select_elites_requires_impressions():
     prior = global_prior(10, 1)
     with pytest.raises(ValueError):
-        select_elites(np.array([1]), np.array([0]), np.array([0]), 0.5, prior)
-    empty = np.zeros(0, dtype=int)
+        select_elites([1], [0], [0], 0.5, prior)
     with pytest.raises(ValueError):
-        select_elites(empty, empty, empty, 0.5, prior)
+        select_elites([], [], [], 0.5, prior)
 
 
 def test_select_elites_deduplicates_genomes():
     ids = flat_ids([[1, 0], [1, 0], [0, 1], [1, 1]], SearchSpace([2, 2]))
-    imp, conv = counts([(100, 50), (100, 50), (100, 10), (100, 5)])
+    imp, conv = count_lists([(100, 50), (100, 50), (100, 10), (100, 5)])
     prior = global_prior(400, 115)
     assert select_elites(ids, imp, conv, 0.5, prior) == [0, 2]
 
@@ -108,14 +118,14 @@ def test_select_elites_matches_posterior_mean_sort():
         n = int(rng.integers(1, 30))
         imp = rng.integers(1, 10**6, size=n)
         conv = rng.binomial(imp, 0.05)
-        ids = np.arange(n)  # all distinct
+        ids = list(range(n))  # all distinct
         prior = global_prior(int(imp.sum()), int(conv.sum()))
 
         def mean(i):
             return BetaPosterior(*posterior(prior, int(imp[i]), int(conv[i]))).mean
 
         expected = sorted(range(n), key=lambda i: (-mean(i), i))
-        got = select_elites(ids, imp, conv, 0.999, prior)
+        got = select_elites(ids, imp.tolist(), conv.tolist(), 0.999, prior)
         assert got == expected
 
 
@@ -172,46 +182,45 @@ def test_mutation_frequency():
 
 def test_next_generation_structure():
     space = SearchSpace([2, 4, 5, 3])
-    genomes = init_population(space)
-    imp, conv = counts([(100, i) for i in range(10)])
+    imp, conv = count_lists([(100, i) for i in range(10)])
     prior = global_prior(1000, 45)
-    ids = flat_ids(genomes, space)
+    ids = flat_ids(init_population(space), space)
     elite_idx = select_elites(ids, imp, conv, EvolutionConfig().elite_fraction, prior)
     rng = rng_for(5)
-    new_genomes, new_imp, new_conv = next_generation(
-        genomes, imp, conv, elite_idx, EvolutionConfig(), space, rng
+    new_ids, new_imp, new_conv = next_generation(
+        ids, imp, conv, elite_idx, EvolutionConfig(), space, rng
     )
-    assert len(new_genomes) == len(new_imp) == len(new_conv) == 10
+    assert len(new_ids) == len(new_imp) == len(new_conv) == 10
     # Elites (the two highest conversion counts: indices 9 and 8) pass
     # through unchanged with their accumulated stats.
-    assert new_genomes[0].tolist() == genomes[9].tolist()
-    assert new_genomes[1].tolist() == genomes[8].tolist()
+    assert new_ids[:2] == [ids[9], ids[8]]
     assert (new_imp[0], new_conv[0]) == (100, 9)
     assert (new_imp[1], new_conv[1]) == (100, 8)
-    for genome, n, c in zip(new_genomes[2:], new_imp[2:], new_conv[2:]):
+    assert all(0 <= i < space.total_combinations for i in new_ids)
+    for genome, n, c in zip(genome_rows(new_ids[2:], space), new_imp[2:], new_conv[2:]):
         Candidate(genome).validate(space)
         assert (n, c) == (0, 0)
 
 
 def test_next_generation_requires_elites():
     space = SearchSpace([2, 2])
-    genomes = init_population(space)
-    imp, conv = counts([(100, 1), (100, 2)])
+    ids = flat_ids(init_population(space), space)
+    imp, conv = count_lists([(100, 1), (100, 2)])
     with pytest.raises(ValueError):
-        next_generation(genomes, imp, conv, [], EvolutionConfig(), space, rng_for(0))
+        next_generation(ids, imp, conv, [], EvolutionConfig(), space, rng_for(0))
 
 
 def test_next_generation_single_elite_no_mutation():
     space = SearchSpace([2, 2])
-    genomes = np.array([[1, 1], [0, 1], [1, 0]])
-    imp, conv = counts([(100, 90), (100, 1), (100, 1)])
+    ids = flat_ids([[1, 1], [0, 1], [1, 0]], space)
+    imp, conv = count_lists([(100, 90), (100, 1), (100, 1)])
     cfg = EvolutionConfig(mutation_rate=0.0)
-    new_genomes, _, _ = next_generation(genomes, imp, conv, [0], cfg, space, rng_for(3))
-    assert new_genomes[0].tolist() == [1, 1]
+    new_ids, _, _ = next_generation(ids, imp, conv, [0], cfg, space, rng_for(3))
+    assert genome_rows(new_ids[:1], space) == [[1, 1]]
     # Crossover of the lone elite with itself reproduces it; a duplicate is
     # nudged until it differs from every genome in the generation.
-    children = [tuple(g) for g in new_genomes[1:].tolist()]
-    assert (1, 1) not in children
+    children = new_ids[1:]
+    assert ids[0] not in children
     assert len(set(children)) == len(children)
 
 
@@ -237,24 +246,23 @@ def test_parent_pair_frequency():
 
 @st.composite
 def breeding_cases(draw, distinct=True):
-    """(space, genomes, elite indices, mutation rate, seed). Genomes that
+    """(space, flat ids, elite indices, mutation rate, seed). Genomes that
     need not be distinct may outnumber the space's cells, so nudges can
     run out."""
     space = SearchSpace(draw(st.lists(st.integers(2, 6), min_size=1, max_size=6)))
     n_cells = space.total_combinations
     ids = draw(st.lists(st.integers(0, n_cells - 1), min_size=1, max_size=25, unique=distinct))
-    genomes = np.transpose(np.unravel_index(ids, space.cardinalities)).reshape(len(ids), -1)
     elites = draw(st.lists(st.sampled_from(range(len(ids))), min_size=1, unique=True))
     rate = draw(st.sampled_from([0.0, 0.01, 1.0]))
-    return space, genomes, elites, rate, draw(st.integers(0, 2**32))
+    return space, ids, elites, rate, draw(st.integers(0, 2**32))
 
 
 @settings(max_examples=200, deadline=None)
 @given(breeding_cases())
 def test_next_generation_property(case):
-    space, genomes, elites, rate, seed = case
-    imp = np.arange(len(genomes)) + 10
-    conv = np.arange(len(genomes))
+    space, ids, elites, rate, seed = case
+    imp = list(range(10, len(ids) + 10))
+    conv = list(range(len(ids)))
     calls = []
 
     def spy(a, b, uniforms):
@@ -263,26 +271,26 @@ def test_next_generation_property(case):
 
     with mock.patch.object(evolution, "crossover", spy):
         new, new_imp, new_conv = next_generation(
-            genomes, imp, conv, elites, EvolutionConfig(mutation_rate=rate), space, rng_for(seed)
+            ids, imp, conv, elites, EvolutionConfig(mutation_rate=rate), space, rng_for(seed)
         )
     e = len(elites)
-    assert new.shape == genomes.shape
-    assert new[:e].tolist() == genomes[elites].tolist()
-    assert new_imp[:e].tolist() == imp[elites].tolist()
-    assert new_conv[:e].tolist() == conv[elites].tolist()
-    assert not new_imp[e:].any() and not new_conv[e:].any()
-    assert ((new >= 0) & (new < np.array(space.cardinalities))).all()
-    if len(genomes) - e <= evolution._LIST_CHILDREN:
+    assert len(new) == len(new_imp) == len(new_conv) == len(ids)
+    assert new[:e] == [ids[i] for i in elites]
+    assert new_imp[:e] == [imp[i] for i in elites]
+    assert new_conv[:e] == [conv[i] for i in elites]
+    assert not any(new_imp[e:]) and not any(new_conv[e:])
+    assert all(type(i) is int and 0 <= i < space.total_combinations for i in new)
+    if len(ids) - e <= evolution._LIST_CHILDREN:
         # Small child blocks are bred child by child on lists, without
         # crossover(); test_next_generation_equals_per_child_reference
         # pins what they breed.
         assert not calls
         return
-    elite_rows = genomes[elites].tolist()
+    elite_rows = genome_rows(new[:e], space)
     # One crossover call breeds the whole child block, one row per child.
     [(parents_a, parents_b, crossed)] = calls
-    assert len(crossed) == len(genomes) - e
-    rows = new.tolist()
+    assert len(crossed) == len(ids) - e
+    rows = genome_rows(new, space)
     children = zip(parents_a.tolist(), parents_b.tolist(), crossed.tolist())
     for n, (a, b, bred) in enumerate(children, start=e):
         assert a in elite_rows and b in elite_rows and (a != b or e == 1)
@@ -297,7 +305,7 @@ MIXED = PRESETS["mixed-nonlinear"].space
 SPACE3 = SearchSpace([4, 4, 5])  # 10 one-gene variants
 
 
-def reference_next_generation(genomes, impressions, conversions, elite_indices, rate, space, rng):
+def reference_next_generation(ids, impressions, conversions, elite_indices, rate, space, rng):
     """Breeding one child at a time from the same uniform block: parent pair,
     crossover, mutation, then dedupe nudges, all on Python ints."""
 
@@ -308,11 +316,11 @@ def reference_next_generation(genomes, impressions, conversions, elite_indices, 
     cards = space.cardinalities
     n_vars = len(cards)
     strides = [math.prod(cards[i + 1 :]) for i in range(n_vars)]
-    elites = genomes[elite_indices].tolist()
+    elites = genome_rows([ids[i] for i in elite_indices], space)
     e = len(elites)
     rows = [list(row) for row in elites]
     seen = {sum(g * s for g, s in zip(row, strides)) for row in rows}
-    for row in rng.random((len(genomes) - e, 2 * n_vars + 4)).tolist():
+    for row in rng.random((len(ids) - e, 2 * n_vars + 4)).tolist():
         i = int(row[0] * e)
         j = (i + 1 + int(row[1] * (e - 1))) % e
         cross, mut, nudge = row[2 : 2 + n_vars], row[2 + n_vars : -2], row[-2:]
@@ -330,32 +338,34 @@ def reference_next_generation(genomes, impressions, conversions, elite_indices, 
             attempts += 1
         seen.add(flat)
         rows.append(child)
-    new_imp, new_conv = np.zeros_like(impressions), np.zeros_like(conversions)
-    new_imp[:e] = impressions[elite_indices]
-    new_conv[:e] = conversions[elite_indices]
-    return np.array(rows).reshape(genomes.shape), new_imp, new_conv
+    unseen = [0] * (len(ids) - e)
+    return (
+        [sum(g * s for g, s in zip(row, strides)) for row in rows],
+        [impressions[i] for i in elite_indices] + unseen,
+        [conversions[i] for i in elite_indices] + unseen,
+    )
 
 
 @pytest.mark.filterwarnings("error")  # a mutation rate of 0 must not divide by it
 @settings(max_examples=200, deadline=None)
 @given(st.one_of(breeding_cases(), breeding_cases(distinct=False)))
-@example((SearchSpace([2, 2]), np.array([[0, 0]] * 6), [0], 0.0, 7))
-@example((MIXED, init_population(MIXED), [3, 0, 9, 21, 4], 0.01, 11))
+@example((SearchSpace([2, 2]), [0] * 6, [0], 0.0, 7))
+@example((MIXED, flat_ids(init_population(MIXED), MIXED), [3, 0, 9, 21, 4], 0.01, 11))
 # Child blocks at the list-breeding cutoff and one child above it.
-@example((MIXED, init_population(MIXED), list(range(14)), 0.01, 12))
-@example((MIXED, init_population(MIXED), list(range(13)), 0.01, 13))
-@example((SPACE3, init_population(SPACE3), [0, 5], 1.0, 14))
-@example((SPACE3, init_population(SPACE3), [4], 0.01, 15))
+@example((MIXED, flat_ids(init_population(MIXED), MIXED), list(range(14)), 0.01, 12))
+@example((MIXED, flat_ids(init_population(MIXED), MIXED), list(range(13)), 0.01, 13))
+@example((SPACE3, flat_ids(init_population(SPACE3), SPACE3), [0, 5], 1.0, 14))
+@example((SPACE3, flat_ids(init_population(SPACE3), SPACE3), [4], 0.01, 15))
 def test_next_generation_equals_per_child_reference(case):
-    space, genomes, elites, rate, seed = case
-    imp = np.arange(len(genomes)) + 10
-    conv = np.arange(len(genomes))
+    space, ids, elites, rate, seed = case
+    imp = list(range(10, len(ids) + 10))
+    conv = list(range(len(ids)))
     config = EvolutionConfig(mutation_rate=rate)
     rng, ref_rng = rng_for(seed), rng_for(seed)
-    got = next_generation(genomes, imp, conv, elites, config, space, rng)
-    expected = reference_next_generation(genomes, imp, conv, elites, rate, space, ref_rng)
-    for a, b in zip(got, expected):
-        assert a.dtype == b.dtype and a.tolist() == b.tolist()
+    got = next_generation(ids, imp, conv, elites, config, space, rng)
+    expected = reference_next_generation(ids, imp, conv, elites, rate, space, ref_rng)
+    assert got == expected
+    assert all(type(x) is int for counts in got for x in counts)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
@@ -363,14 +373,14 @@ def test_next_generation_equals_per_child_reference(case):
 def test_next_generation_rows_distinct_on_preset_spaces(preset):
     space = PRESETS[preset].space
     cfg = EvolutionConfig()
-    genomes = init_population(space)
-    imp, conv = np.ones(len(genomes), dtype=int), np.zeros(len(genomes), dtype=int)
-    n_elites = math.ceil(cfg.elite_fraction * len(genomes))
+    ids = flat_ids(init_population(space), space)
+    imp, conv = [1] * len(ids), [0] * len(ids)
+    n_elites = math.ceil(cfg.elite_fraction * len(ids))
     rng = rng_for(42)
     for _ in range(200):
-        elites = rng.permutation(len(genomes))[:n_elites].tolist()
-        genomes, imp, conv = next_generation(genomes, imp, conv, elites, cfg, space, rng)
-        assert len({tuple(g) for g in genomes.tolist()}) == len(genomes)
+        elites = rng.permutation(len(ids))[:n_elites].tolist()
+        ids, imp, conv = next_generation(ids, imp, conv, elites, cfg, space, rng)
+        assert len(set(ids)) == len(ids)
 
 
 def run_once(space, seed, total=100_000, cfg=None):
@@ -408,9 +418,9 @@ def test_run_evolution_tested_totals_match_plan(monkeypatch):
     # every slot's; the control's own share goes only to the winner choice.
     calls = []
 
-    def spy(*args):
-        calls.append(args)
-        return beat_control_winner(*args)
+    def spy(cells):
+        calls.append(cells)
+        return beat_control_winner(cells)
 
     monkeypatch.setattr(evolution, "beat_control_winner", spy)
     space = SearchSpace([3, 6, 2])
@@ -426,7 +436,11 @@ def test_run_evolution_tested_totals_match_plan(monkeypatch):
     for genome, n, c in zip(last.genomes.tolist(), last.impressions, last.conversions):
         i = tested[tuple(genome)]
         assert result.tested_impressions[i] >= n and result.tested_conversions[i] >= c
-    [(imp, conv, ctrl_imp, ctrl_conv)] = calls
+    # The winner is picked on first access, once, from the run's own arrays.
+    assert not calls
+    first = (result.winner, result.winner_pbc)
+    assert (result.winner, result.winner_pbc) == first
+    [[(imp, conv, ctrl_imp, ctrl_conv)]] = calls
     assert imp is result.tested_impressions and conv is result.tested_conversions
     assert ctrl_imp == sum(slots[0] for slots in plan)
     assert 0 <= ctrl_conv <= ctrl_imp
@@ -497,15 +511,15 @@ def test_winner_near_one_ranked_by_posterior_mean():
     assert 0 < pbc_sure - pbc_better < PBC_TOL / 2
     assert better.mean > sure.mean
 
-    winner, winner_pbc = beat_control_winner(imp, conv, ctrl_imp, ctrl_conv)
+    [(winner, winner_pbc)] = beat_control_winner([(imp, conv, ctrl_imp, ctrl_conv)])
     assert winner == 1
     assert winner_pbc == pbc_better  # reported unrounded
 
 
 def test_winner_defaults_to_control():
     imp, conv = counts([(10_000, 300)])
-    winner, winner_pbc = beat_control_winner(imp, conv, 10_000, 600)
-    assert (winner, winner_pbc) == (None, 0.5)
+    assert beat_control_winner([(imp, conv, 10_000, 600)]) == [(None, 0.5)]
+    assert beat_control_winner([]) == []
 
 
 @given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), max_size=30))
@@ -553,17 +567,24 @@ def winner_cases(draw):
     return case(picks, draw(count_pairs))
 
 
+PLANTED_CASES = [
+    case([(1_000, 30)], (1_000, 50)),
+    case([(441_053, 0)] * 3, (10, 0)),
+    case([(1_529, 1)], (10, 1)),
+    case([(1_000, 10), (2_000, 30)], (8_000, 400)),  # all dominated by the control
+    # planted exact ties, also with the strongest genome
+    case([(5_000, 240), (5_000, 250), (5_000, 250), (5_000, 250)], (5_000, 200)),
+]
+
+
 @settings(max_examples=150, deadline=None)
-@given(winner_cases())
-@example(case([(1_000, 30)], (1_000, 50)))
-@example(case([(441_053, 0)] * 3, (10, 0)))
-@example(case([(1_529, 1)], (10, 1)))
-@example(case([(1_000, 10), (2_000, 30)], (8_000, 400)))  # all dominated by the control
-@example(  # planted exact ties, also with the strongest genome
-    case([(5_000, 240), (5_000, 250), (5_000, 250), (5_000, 250)], (5_000, 200))
-)
-def test_pruned_winner_equals_full_computation(case):
-    assert beat_control_winner(*case) == full_winner(*case)
+@given(st.lists(winner_cases(), min_size=1, max_size=4))
+@example(PLANTED_CASES)
+@example(PLANTED_CASES[::-1])
+def test_pruned_winner_equals_full_computation(cases):
+    # Cells picked together, in one beat-control pass, each get the winner
+    # and PBC of the full computation over that cell alone.
+    assert beat_control_winner(cases) == [full_winner(*case) for case in cases]
 
 
 @given(
@@ -579,8 +600,9 @@ def test_tally_equals_dict_reference(stream):
         sums = reference.setdefault(genome, [0, 0])
         sums[0] += n
         sums[1] += c
-    ids, imp, conv = (np.array([row[k] for row in stream], dtype=np.int64) for k in range(3))
+    ids, imp, conv = ([row[k] for row in stream] for k in range(3))
     got_ids, got_imp, got_conv = tally(ids, imp, conv)
+    assert got_ids.dtype == got_imp.dtype == got_conv.dtype == np.int64
     assert got_ids.tolist() == list(reference)
     assert got_imp.tolist() == [n for n, _ in reference.values()]
     assert got_conv.tolist() == [c for _, c in reference.values()]

@@ -11,7 +11,7 @@ import pytest
 import scipy
 
 import mvtlab
-from mvtlab import cli, harness
+from mvtlab import cli, evolution, harness, simstats
 from mvtlab.cli import main as cli_main
 from mvtlab.evaluator import (
     LINEAR,
@@ -20,7 +20,7 @@ from mvtlab.evaluator import (
     brute_force_best,
     sample_evaluator,
 )
-from mvtlab.evolution import EvolutionConfig
+from mvtlab.evolution import EvolutionConfig, beat_control_winner
 from mvtlab.genome import SearchSpace
 from mvtlab.harness import (
     CURVES,
@@ -38,7 +38,7 @@ from mvtlab.harness import (
     run_taguchi_arm,
     sweep,
 )
-from mvtlab.simstats import aggregate_runs
+from mvtlab.simstats import aggregate_runs, prob_beats_control
 from mvtlab.taguchi import load_bundled_array
 
 SMOKE = dict(traffic=(2_000, 20_000), repetitions=3)
@@ -295,13 +295,54 @@ def test_fixed_sweep_builds_one_evaluator(monkeypatch):
             measured = run_taguchi_arm(
                 array, evaluator, total, cell_rng(config.master_seed, 202, t_idx, rep)
             )
-            measured.update(
-                run_evolution_arm(
-                    config, evaluator, total, cell_rng(config.master_seed, 303, t_idx, rep)
-                )
+            result, measured["evolution_served"] = run_evolution_arm(
+                config, evaluator, total, cell_rng(config.master_seed, 303, t_idx, rep)
             )
+            # This cell's winner alone, not in its repetition's batch.
+            measured["winner_cr"] = evaluator.true_cr(result.winner)
+            assert sorted(measured) == sorted(cells)
             for name, value in measured.items():
                 assert cells[name][rep, t_idx] == value, (name, rep, t_idx)
+
+
+def test_repetition_winners_equal_one_cell_calls(monkeypatch):
+    # A repetition's winners come from one beat-control pass over all its
+    # cells. On mixed-lowcr that batch holds split-pass pairs from several
+    # cells beside first-pass pairs; each cell's winner index and PBC must
+    # still equal a call for that cell alone, bit for bit.
+    config = replace(PRESETS["mixed-lowcr"], repetitions=3)
+    batches = []
+
+    def spy(cells):
+        batches.append((cells, beat_control_winner(cells)))
+        return batches[-1][1]
+
+    monkeypatch.setattr(harness, "beat_control_winner", spy)
+    sweep(config)
+    assert len(batches) == config.repetitions
+    pairs, split = [], []
+    upper_prob_split = simstats._upper_prob_split
+
+    def count_pairs(cand, control):
+        pairs.append(len(cand[0]))
+        return prob_beats_control(cand, control)
+
+    def count_split(a, *shapes):
+        split.append(len(a))
+        return upper_prob_split(a, *shapes)
+
+    monkeypatch.setattr(evolution, "prob_beats_control", count_pairs)
+    monkeypatch.setattr(simstats, "_upper_prob_split", count_split)
+    for cells, winners in batches:
+        assert len(cells) == len(config.traffic)
+        split_cells = first_pass_pairs = 0
+        for cell, winner in zip(cells, winners):
+            pairs.clear()
+            split.clear()
+            assert beat_control_winner([cell]) == [winner]
+            split_cells += sum(split) > 0
+            first_pass_pairs += sum(pairs) - sum(split)
+        assert split_cells >= 2 and first_pass_pairs > 0
 
 
 def test_parse_config_round_trip():

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import integrate, special
 
 from mvtlab import simstats
@@ -381,20 +381,47 @@ def test_pbc_matches_mpmath_oracle():
         assert abs(got - mpmath_pbc(cand, ctrl)) <= 1e-7, (cand, ctrl)
 
 
-def test_pbc_batch_matches_single():
-    cases = [
-        ((60.0, 940.0), [(a, 1000.0 - a) for a in (40.0, 55.0, 60.0, 70.0, 90.0)]),
-        # Both take the split pass. The second, with shape 4e-4, starts on
-        # more pieces; a tolerance shared over the batch moved the first by
-        # 6.5e-9.
-        ((0.5, 2600.0), [(1.25, 4000.0), (4e-4, 10_700.0)]),
-    ]
-    for ctrl, shapes in cases:
-        ctrl = BetaPosterior(*ctrl)
-        cands = [BetaPosterior(*c) for c in shapes]
-        batched = prob_beats_control(([c.alpha for c in cands], [c.beta for c in cands]), ctrl)
-        assert batched.tolist() == [prob_beats_control(c, ctrl) for c in cands]
-        assert prob_beats_control(([], []), ctrl).shape == (0,)
+# (control, candidate) shapes. The first five pairs take the first pass
+# against one control. The last two take the split pass against another; the
+# second, with shape 4e-4, starts on more pieces, and a tolerance shared over
+# the batch once moved the first by 6.5e-9.
+BATCH_PAIRS = [((60.0, 940.0), (a, 1000.0 - a)) for a in (40.0, 55.0, 60.0, 70.0, 90.0)] + [
+    ((0.5, 2600.0), (1.25, 4000.0)),
+    ((0.5, 2600.0), (4e-4, 10_700.0)),
+]
+
+
+def columns(shapes):
+    """(alphas, betas) lists from (alpha, beta) pairs."""
+    return [a for a, _ in shapes], [b for _, b in shapes]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.permutations(range(len(BATCH_PAIRS))), st.integers(0, len(BATCH_PAIRS)))
+@example(list(range(len(BATCH_PAIRS))), len(BATCH_PAIRS))
+def test_pbc_batch_matches_single(order, cut):
+    # Any order and any split of one batch that carries both controls, pair
+    # by pair, gives every pair its single call's value bit for bit.
+    singles = [prob_beats_control(BetaPosterior(*c), BetaPosterior(*k)) for k, c in BATCH_PAIRS]
+    for part in (order[:cut], order[cut:]):
+        ctrls, cands = ([BATCH_PAIRS[i][side] for i in part] for side in (0, 1))
+        got = prob_beats_control(columns(cands), columns(ctrls))
+        assert got.shape == (len(part),)
+        assert got.tolist() == [singles[i] for i in part]
+    # Each control's pairs as a batch against that one control.
+    for ctrl in {k for k, _ in BATCH_PAIRS}:
+        part = [i for i in order if BATCH_PAIRS[i][0] == ctrl]
+        got = prob_beats_control(columns([BATCH_PAIRS[i][1] for i in part]), BetaPosterior(*ctrl))
+        assert got.tolist() == [singles[i] for i in part]
+
+
+def test_pbc_control_batch_must_align():
+    ctrl = BetaPosterior(60.0, 940.0)
+    assert prob_beats_control(([], []), ctrl).shape == (0,)
+    assert prob_beats_control(([], []), ([], [])).shape == (0,)
+    with pytest.raises(ValueError) as error:
+        prob_beats_control(([40.0, 55.0], [960.0, 945.0]), ([60.0], [940.0]))
+    assert "\n" not in str(error.value)
 
 
 def test_aggregate_runs():
