@@ -7,6 +7,9 @@ one line: the rows that moved (a row is keyed by traffic and method, and
 moves when any of its bytes change or it exists on one side only), the
 methods those rows belong to, and the largest |delta mean| over the moved
 rows present on both sides.
+
+Exits 0 when every golden has a fresh CSV and no row moved, 1 otherwise,
+and 2 on a usage error.
 """
 
 import csv
@@ -39,17 +42,20 @@ def main(argv: list[str]) -> int:
         print("usage: python scripts/golden_diff.py DIR", file=sys.stderr)
         return 2
     out = Path(argv[0])
+    status = 0
     for golden in sorted(GOLDEN.glob("*.csv")):
         fresh = out / golden.name
         if not fresh.exists():
             print(f"{golden.stem}: no {fresh}")
+            status = 1
             continue
         moved, total, methods, delta = compare(fresh.read_text(), golden.read_text())
         print(
             f"{golden.stem}: {moved}/{total} rows moved, "
             f"methods moved: {', '.join(methods) or 'none'}, max |delta mean| {delta:.4f}"
         )
-    return 0
+        status |= moved > 0
+    return status
 
 
 if __name__ == "__main__":

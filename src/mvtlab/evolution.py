@@ -14,8 +14,9 @@ breeding unravels elites into genome rows, one value index per variable.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from operator import mul
 
 import numpy as np
@@ -26,6 +27,7 @@ from .simstats import (
     PBC_TOL,
     BetaPosterior,
     global_prior,
+    pbc_bounds,
     posterior,
     prob_beats_control,
     simulate_conversions,
@@ -71,10 +73,15 @@ def init_population(space: SearchSpace) -> np.ndarray:
     return genomes
 
 
-def _strides(space: SearchSpace) -> list[int]:
-    """C-order strides: a genome's flat id is its dot product with these."""
+@lru_cache(maxsize=64)
+def _layout(space: SearchSpace) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(the first generation's flat ids, the C-order strides) of a space: a
+    genome's flat id is its dot product with the strides. Both depend on the
+    space alone, so they are built once per space, as tuples that no run
+    can change."""
     cards = space.cardinalities
-    return [math.prod(cards[i + 1 :]) for i in range(len(cards))]
+    strides = tuple(math.prod(cards[i + 1 :]) for i in range(len(cards)))
+    return tuple((init_population(space) @ strides).tolist()), strides
 
 
 def select_elites(
@@ -178,7 +185,8 @@ def next_generation(
     """
     if not elite_indices:
         raise ValueError("no elites available to breed from")
-    strides, cards = _strides(space), space.cardinalities
+    _, strides = _layout(space)
+    cards = space.cardinalities
     elites = [[ids[i] // s % k for s, k in zip(strides, cards)] for i in elite_indices]
     n_elites, n_vars = len(elites), len(cards)
     block = rng.random((len(ids) - n_elites, 2 * n_vars + 4))
@@ -273,15 +281,37 @@ def beat_control_winner(
     to, so clear winners near 1.0 tie whatever the quadrature's rounding;
     posterior mean breaks those ties, and the earlier entry wins a full tie.
 
-    PBC is computed only for the undominated genomes. Every genome shares
-    the pooled prior, so one with no fewer conversions and no more failures
-    than another has a stochastically larger posterior: no lower PBC and,
-    counts differing, a strictly higher mean. A dominated genome cannot win.
-    Kept genomes stay in tested order. Every cell's kept genomes go to one
-    prob_beats_control call, each against its own cell's control, and a
-    pair's PBC does not depend on the rest of its batch, so each cell's
-    winner and its PBC are those of the full computation for that cell
-    alone.
+    PBC is integrated only for the genomes that can still win. First, only
+    the undominated genomes: every genome shares the pooled prior, so one
+    with no fewer conversions and no more failures than another has a
+    stochastically larger posterior: no lower PBC and, counts differing, a
+    strictly higher mean. Then pbc_bounds gives each front genome lo <= PBC
+    <= hi, and two rules drop genomes whose key is surely below another's:
+
+    - Floor: with F the largest of 1/2 (the control) and the cell's lo
+      values, a genome with hi < F - 2 PBC_TOL is dropped.
+    - Certified: when some genome has lo >= 1 - PBC_TOL / 10, a genome whose
+      posterior mean is below the highest such genome's mean is dropped.
+      Equal means are kept, since the earlier index wins a full tie.
+
+    Why the keys hold: a computed PBC is within e of the true one. The
+    quadrature's budget is PBC_TOL / 10 (the 64/96-node agreement, or the
+    split pass's shares per pair); on top come at most 3.4e-8 seen from the
+    first pass's closed-form window tails, up to 1.5e-8 from scipy's
+    betaln at shapes near 3e6, and 1.6e-18 from skipped nodes. The rules
+    need only e < 4e-7, and the bounds' own rounding is far inside the
+    margins. Floor: a dropped genome's computed PBC is
+    below F - 2 PBC_TOL + e, while the genome or control holding F computes
+    at least F - e, more than PBC_TOL higher, so its rounded key is higher.
+    Certified: a computed PBC of at least 1 - PBC_TOL / 10 - e lies above
+    1 - PBC_TOL / 2 and rounds to the top key, which no PBC (clipped to 1)
+    exceeds, so the higher mean wins. A genome that beats every other is
+    never dropped, and the remaining genomes keep their tested order.
+
+    The kept genomes of every cell go to one prob_beats_control call, each
+    against its own cell's control, and a pair's PBC does not depend on the
+    rest of its batch, so each cell's winner and its PBC are those of the
+    full computation for that cell alone.
     """
     fronts, ctrl_means, alphas, betas, ctrl_alphas, ctrl_betas = [], [], [], [], [], []
     for impressions, conversions, ctrl_impressions, ctrl_conversions in cells:
@@ -297,15 +327,34 @@ def beat_control_winner(
         betas += b.tolist()
         ctrl_alphas += [ctrl_post.alpha] * len(front)
         ctrl_betas += [ctrl_post.beta] * len(front)
-    pbcs = prob_beats_control((alphas, betas), (ctrl_alphas, ctrl_betas)).tolist()
-    winners, start = [], 0
-    for front, ctrl_mean in zip(fronts, ctrl_means):
-        stop = start + len(front)
-        cell_pbcs = [0.5, *pbcs[start:stop]]
-        means = [ctrl_mean, *(a / (a + b) for a, b in zip(alphas[start:stop], betas[start:stop]))]
-        best = max(range(len(cell_pbcs)), key=lambda i: (round(cell_pbcs[i] / PBC_TOL), means[i]))
-        winners.append(((front[best - 1] if best else None), cell_pbcs[best]))
-        start = stop
+    means = [a / (a + b) for a, b in zip(alphas, betas)]
+    lows, highs = (x.tolist() for x in pbc_bounds((alphas, betas), (ctrl_alphas, ctrl_betas)))
+    # Per cell, (front position, pair position) of the genomes that can win.
+    kept, start = [], 0
+    for front in fronts:
+        pairs = list(enumerate(range(start, start + len(front))))
+        floor = max([0.5, *(lows[i] for _, i in pairs)]) - 2 * PBC_TOL
+        keep = [(f, i) for f, i in pairs if highs[i] >= floor]
+        certain = [means[i] for _, i in pairs if lows[i] >= 1.0 - PBC_TOL / 10]
+        if certain:
+            top = max(certain)
+            keep = [(f, i) for f, i in keep if means[i] >= top]
+        kept.append(keep)
+        start += len(front)
+    batch = [i for keep in kept for _, i in keep]
+    pbcs = prob_beats_control(
+        ([alphas[i] for i in batch], [betas[i] for i in batch]),
+        ([ctrl_alphas[i] for i in batch], [ctrl_betas[i] for i in batch]),
+    ).tolist()
+    winners, done = [], 0
+    for front, ctrl_mean, keep in zip(fronts, ctrl_means, kept):
+        cell_pbcs = [0.5, *pbcs[done : done + len(keep)]]
+        cell_means = [ctrl_mean, *(means[i] for _, i in keep)]
+        best = max(
+            range(len(cell_pbcs)), key=lambda i: (round(cell_pbcs[i] / PBC_TOL), cell_means[i])
+        )
+        winners.append(((front[keep[best - 1][0]] if best else None), cell_pbcs[best]))
+        done += len(keep)
     return winners
 
 
@@ -388,7 +437,7 @@ def tally(ids: list[int], impressions: list[int], conversions: list[int]):
 
 def run_evolution(
     evaluator: Evaluator,
-    traffic_plan: list[list[int]],
+    traffic_plan: Sequence[Sequence[int]],
     config: EvolutionConfig,
     rng: np.random.Generator,
 ) -> EvolutionResult:
@@ -408,7 +457,7 @@ def run_evolution(
 
     space = evaluator.space
     # The population: each slot's flat id, with its accumulated counts.
-    ids = (init_population(space) @ _strides(space)).tolist()
+    ids = list(_layout(space)[0])
     pop_size = len(ids)
     impressions = conversions = [0] * pop_size
     for g, slots in enumerate(traffic_plan):
@@ -429,9 +478,7 @@ def run_evolution(
         # indexed without true_crs's checks.
         true_crs = landscape[ids].tolist()
         # One draw for every slot, then the control's, in that stream order.
-        *drawn, ctrl_drawn = simulate_conversions(
-            [*true_crs, ctrl_cr], [*slots, slots[0]], rng
-        ).tolist()
+        *drawn, ctrl_drawn = simulate_conversions([*true_crs, ctrl_cr], [*slots, slots[0]], rng)
         ctrl_impressions += slots[0]
         ctrl_conversions += ctrl_drawn
         served_ids += ids

@@ -99,6 +99,21 @@ class ExperimentConfig:
         smallest traffic level; loaded once per config."""
         return self._design
 
+    def evolution_plan(self, total_traffic: int) -> tuple[tuple[int, ...], ...]:
+        """The evolution arm's traffic plan at a traffic level, the
+        impressions of each slot per generation; built once per level, as
+        tuples that no cell can change."""
+        plan = self._evolution_plans.get(total_traffic)
+        if plan is None:
+            pop_size = sum(k - 1 for k in self.space.cardinalities)
+            rows = allocate_evolution(total_traffic, self.evolution.generations, pop_size)
+            plan = self._evolution_plans[total_traffic] = tuple(map(tuple, rows))
+        return plan
+
+    @cached_property
+    def _evolution_plans(self) -> dict:
+        return {}
+
     @cached_property
     def _design(self) -> OrthogonalArray:
         if self.array is None:
@@ -179,18 +194,21 @@ def run_taguchi_arm(
     evaluator: Evaluator,
     total_traffic: int,
     rng: np.random.Generator,
+    true_crs: np.ndarray | None = None,
 ) -> dict[str, float]:
     """Spread traffic evenly over the array rows, observe conversions, score
     rows by observed rate, and read off the predicted-best and best-tested
     candidates' true conversion rates, plus the impression-weighted true
-    conversion rate of all traffic served."""
+    conversion rate of all traffic served. `true_crs`, the rows' true
+    conversion rates, is read from the evaluator when not given."""
     if array.column_levels != evaluator.space.cardinalities:
         raise ValueError(
             f"array levels {array.column_levels} do not match "
             f"space {evaluator.space.cardinalities}"
         )
     allocation = allocate_taguchi(total_traffic, array.n_rows)
-    true_crs = evaluator.true_crs(array.rows)
+    if true_crs is None:
+        true_crs = evaluator.true_crs(array.rows)
     conversions = simulate_conversions(true_crs, allocation, rng)
     scores = conversions / allocation
     # Python's sum, as the goldens were written: numpy's pairwise sum
@@ -212,8 +230,7 @@ def run_evolution_arm(
     """Run the evolutionary optimizer on the traffic plan: its result, whose
     winner beat_control_winner picks, and the impression-weighted true
     conversion rate of all traffic served."""
-    pop_size = sum(k - 1 for k in config.space.cardinalities)
-    plan = allocate_evolution(total_traffic, config.evolution.generations, pop_size)
+    plan = config.evolution_plan(total_traffic)
     result = run_evolution(evaluator, plan, config.evolution, rng)
     served = 0.0
     for crs, slots in zip(result.true_crs, plan):
@@ -231,7 +248,8 @@ def sweep(config: ExperimentConfig) -> dict[str, np.ndarray]:
     and serves every traffic level; every cell still has its own seeds. A
     fixed evaluator is repetition 0's landscape, built once for the sweep.
     A repetition's evolution winners are picked together, in one
-    beat_control_winner call over its cells."""
+    beat_control_winner call over its cells. The array rows' true
+    conversion rates are read once per landscape."""
     array = config.load_design()
     shape = (config.repetitions, len(config.traffic))
     cells = {name: np.empty(shape) for curve in CURVES.values() for name in curve.values()}
@@ -239,6 +257,7 @@ def sweep(config: ExperimentConfig) -> dict[str, np.ndarray]:
     for rep in range(config.repetitions):
         if evaluator is None or not config.fixed_evaluator:
             evaluator = _evaluator_for(config, rep)
+            row_crs = evaluator.true_crs(array.rows)
         results = []
         for t_idx, total in enumerate(config.traffic):
             tag_rng = np.random.Generator(
@@ -247,7 +266,7 @@ def sweep(config: ExperimentConfig) -> dict[str, np.ndarray]:
             evo_rng = np.random.Generator(
                 np.random.PCG64(_derived_seed(config.master_seed, 303, t_idx, rep))
             )
-            measured = run_taguchi_arm(array, evaluator, total, tag_rng)
+            measured = run_taguchi_arm(array, evaluator, total, tag_rng, row_crs)
             result, measured["evolution_served"] = run_evolution_arm(
                 config, evaluator, total, evo_rng
             )

@@ -63,21 +63,30 @@ _SCALAR_DRAWS = 8
 
 def simulate_conversions(true_cr, impressions, rng: np.random.Generator):
     """Exact binomial draw of conversions among the given impressions: an
-    int for scalar arguments, an array for arrays. An array draws element by
-    element from the stream, the same values as one scalar call each, so a
-    short 1-D array is drawn by scalar calls, which cost less there."""
+    int for scalar arguments, a list when both arguments are lists, an array
+    otherwise. An array draws element by element from the stream, the same
+    values as one scalar call each, so a short 1-D sequence is drawn by
+    scalar calls, which cost less there."""
+    lists = isinstance(true_cr, list) and isinstance(impressions, list)
+    if lists and len(true_cr) == len(impressions) <= _SCALAR_DRAWS:
+        return _scalar_draws(true_cr, impressions, rng)
     crs = np.asarray(true_cr, dtype=float)
     counts = np.asarray(impressions)
     if crs.ndim == 1 and counts.shape == crs.shape and len(crs) <= _SCALAR_DRAWS:
-        rates = crs.tolist()
-        # Written so that NaN fails it, as it fails the array check.
-        if not all(0.0 <= p <= 1.0 for p in rates):
-            raise ValueError(f"true conversion rate {true_cr} outside [0, 1]")
-        draws = zip(counts.tolist(), rates)
-        return np.array([rng.binomial(n, p) for n, p in draws], dtype=np.int64)
+        draws = _scalar_draws(crs.tolist(), counts.tolist(), rng)
+        return np.array(draws, dtype=np.int64)
     if not ((crs >= 0.0) & (crs <= 1.0)).all():
         raise ValueError(f"true conversion rate {true_cr} outside [0, 1]")
-    return rng.binomial(counts, crs)
+    draws = rng.binomial(counts, crs)
+    return draws.tolist() if lists else draws
+
+
+def _scalar_draws(rates: list, counts: list, rng: np.random.Generator) -> list[int]:
+    """One scalar binomial call per element, in order."""
+    # Written so that NaN fails it, as it fails the array check.
+    if not all(0.0 <= p <= 1.0 for p in rates):
+        raise ValueError(f"true conversion rate {rates} outside [0, 1]")
+    return [rng.binomial(n, p) for n, p in zip(counts, rates)]
 
 
 def global_prior(impressions: int, conversions: int) -> BetaPosterior:
@@ -205,6 +214,29 @@ def prob_beats_control(cand, control):
         upper_prob[redo] = _upper_prob_split(*pairs)
     pbc = np.clip(np.where(cand_narrower, 1.0 - upper_prob, upper_prob), 0.0, 1.0)
     return float(pbc[0]) if single else pbc
+
+
+def pbc_bounds(cand, control):
+    """(lo, hi) arrays with lo <= P(candidate CR > control CR) <= hi, pair by
+    pair, for a batch of candidates and their aligned controls, each given as
+    (alphas, betas) arrays as in prob_beats_control.
+
+    Both come from the two posteriors' CDFs at one split point y between the
+    means, as many standard deviations from each: y = (m_c sd_k + m_k sd_c)
+    / (sd_c + sd_k). The posteriors are independent, so a candidate above y
+    with its control at or below it beats the control, and one at or below
+    y with its control above it does not:
+    lo = (1 - I_y(a_c, b_c)) I_y(a_k, b_k) and
+    hi = 1 - I_y(a_c, b_c) (1 - I_y(a_k, b_k)). Two betainc evaluations per
+    pair, elementwise, so a pair's bounds do not depend on its batch.
+    """
+    a = np.array([cand[0], control[0]], dtype=float)
+    b = np.array([cand[1], control[1]], dtype=float)
+    means = a / (a + b)
+    sd_c, sd_k = np.sqrt(_variance(a, b))
+    split = (means[0] * sd_k + means[1] * sd_c) / (sd_c + sd_k)
+    cdf_c, cdf_k = special.betainc(a, b, split)
+    return (1.0 - cdf_c) * cdf_k, 1.0 - cdf_c * (1.0 - cdf_k)
 
 
 def _variance(a, b):

@@ -95,13 +95,30 @@ def validate(a: OrthogonalArray) -> ValidationReport:
     skewed = np.abs(gram[left, right]) > ORTHO_TOL
     ortho_bad = list(zip(left[skewed].tolist(), right[skewed].tolist()))
     pairs = zip(left.tolist(), right.tolist())  # (0, 1), (0, 2), ..., (1, 2), ...
-    pair_info = tuple(((i, j), _pair_balanced(a, i, j)) for i, j in pairs)
+    pair_info = tuple(zip(pairs, _pairs_balanced(a, left, right, in_range)))
     checks = (
         PropertyCheck("range", not range_bad, tuple(range_bad)),
         PropertyCheck("balance", not balance_bad, tuple(balance_bad)),
         PropertyCheck("orthogonality", not ortho_bad, tuple(ortho_bad)),
     )
     return ValidationReport(checks=checks, pair_balance_info=pair_info)
+
+
+def _pairs_balanced(a: OrthogonalArray, left, right, in_range) -> list[bool]:
+    """_pair_balanced for every column pair (left[p], right[p]) at once: one
+    bincount over all pairs, each pair's value combinations in its own
+    segment. Columns out of range (in_range False) are clipped into range
+    so that no count leaves its segment, and their pairs read False."""
+    if not len(left):
+        return []
+    levels = np.maximum(a.column_levels, 1)
+    rows = np.clip(a.rows, 0, levels - 1)
+    sizes = levels[left] * levels[right]
+    starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
+    codes = starts + rows[:, left] * levels[right] + rows[:, right]
+    counts = np.bincount(codes.ravel(), minlength=sizes.sum())
+    even = np.minimum.reduceat(counts, starts) == np.maximum.reduceat(counts, starts)
+    return (even & in_range[left] & in_range[right]).tolist()
 
 
 def _pair_balanced(a: OrthogonalArray, i: int, j: int) -> bool:

@@ -567,6 +567,18 @@ def winner_cases(draw):
     return case(picks, draw(count_pairs))
 
 
+# Cells in which each bound rule drops a front genome: (cell, front
+# genomes whose PBC is integrated).
+RULE_CASES = [
+    # Certified: both PBCs round to the top key; the second genome's is the
+    # higher (1.0 against 1 - 1.8e-11) but its mean is lower.
+    (case([(1_000, 200), (1_000_000, 100_000)], (10_000, 100)), 1),
+    # Floor: the second genome's hi (0.85) is below the first one's lo (0.999).
+    (case([(100_000, 6_000), (1_000, 52)], (10_000, 500)), 1),
+    # Floor at the control's 1/2: both his are below it, and the batch is empty.
+    (case([(1_000, 40), (2_000, 90)], (10_000, 500)), 0),
+]
+
 PLANTED_CASES = [
     case([(1_000, 30)], (1_000, 50)),
     case([(441_053, 0)] * 3, (10, 0)),
@@ -574,6 +586,10 @@ PLANTED_CASES = [
     case([(1_000, 10), (2_000, 30)], (8_000, 400)),  # all dominated by the control
     # planted exact ties, also with the strongest genome
     case([(5_000, 240), (5_000, 250), (5_000, 250), (5_000, 250)], (5_000, 200)),
+    *(cell for cell, _ in RULE_CASES),
+    # The first genome's lo (0.9986) falls short of certified, and its mean
+    # is the higher; the second, certified, must still win on its PBC.
+    case([(2_000, 140), (1_000_000, 60_000)], (100_000, 5_000)),
 ]
 
 
@@ -585,6 +601,24 @@ def test_pruned_winner_equals_full_computation(cases):
     # Cells picked together, in one beat-control pass, each get the winner
     # and PBC of the full computation over that cell alone.
     assert beat_control_winner(cases) == [full_winner(*case) for case in cases]
+
+
+@pytest.mark.parametrize("cell, integrated", RULE_CASES)
+def test_bound_rules_drop_front_genomes(cell, integrated):
+    # Each planted cell's front holds two genomes; a spy on the one
+    # prob_beats_control call sees how many were integrated, so the rules
+    # must really have fired for the winner check to mean anything.
+    imp, conv, _, _ = cell
+    assert len(undominated(conv.tolist(), (imp - conv).tolist())) == 2
+    sizes = []
+
+    def spy(cand, control):
+        sizes.append(len(cand[0]))
+        return prob_beats_control(cand, control)
+
+    with mock.patch.object(evolution, "prob_beats_control", spy):
+        assert beat_control_winner([cell]) == [full_winner(*cell)]
+    assert sizes == [integrated]
 
 
 @given(

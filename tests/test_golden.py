@@ -6,11 +6,12 @@ After a deliberate behaviour change, regenerate a golden with
 checkout (or `python -m mvtlab.cli run <preset> --out DIR` after
 `pip install -e .`), summarise the diff with
 `python scripts/golden_diff.py DIR` (rows moved, methods moved, max
-|delta mean| per preset), copy DIR/<preset>.csv into tests/golden/, and
-explain the diff in CHANGES.md.
+|delta mean| per preset; it exits 0 only when no golden moved), copy
+DIR/<preset>.csv into tests/golden/, and explain the diff in CHANGES.md.
 """
 
 import importlib.util
+import shutil
 from pathlib import Path
 
 import pytest
@@ -39,12 +40,17 @@ def test_preset_matches_golden_csv(preset, request, tmp_path):
     assert path.read_bytes() == (GOLDEN / f"{preset}.csv").read_bytes()
 
 
-def test_golden_diff_summary(tmp_path, monkeypatch, capsys):
+def load_golden_diff():
     spec = importlib.util.spec_from_file_location(
         "golden_diff", Path(__file__).resolve().parents[1] / "scripts" / "golden_diff.py"
     )
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
+    return script
+
+
+def test_golden_diff_summary(tmp_path, monkeypatch, capsys):
+    script = load_golden_diff()
     golden = (
         "traffic,method,mean,lo,hi\n"
         "1000,evolution,0.050000,0.040000,0.060000\n"
@@ -61,7 +67,21 @@ def test_golden_diff_summary(tmp_path, monkeypatch, capsys):
     script.GOLDEN.mkdir()
     (script.GOLDEN / "demo.csv").write_text(golden)
     (tmp_path / "demo.csv").write_text(fresh)
-    assert script.main([str(tmp_path)]) == 0
+    assert script.main([str(tmp_path)]) == 1  # a row moved
     assert capsys.readouterr().out == (
         "demo: 1/3 rows moved, methods moved: evolution, max |delta mean| 0.0035\n"
     )
+
+
+def test_golden_diff_exit_status(tmp_path):
+    # Exit 0 means every golden has a fresh CSV with no row moved.
+    script = load_golden_diff()
+    for golden in GOLDEN.glob("*.csv"):
+        shutil.copy(golden, tmp_path)
+    assert script.main([str(tmp_path)]) == 0
+    one = tmp_path / "setting1-linear.csv"
+    text = one.read_text()
+    one.write_text(text[:-2] + ("0" if text[-2] != "0" else "1") + text[-1])
+    assert script.main([str(tmp_path)]) == 1
+    one.unlink()
+    assert script.main([str(tmp_path)]) == 1

@@ -109,10 +109,18 @@ def test_simulate_conversions_small_arrays_match_one_array_call(size):
         assert got.dtype == expected.dtype and got.shape == expected.shape
         assert got.tolist() == expected.tolist()
         assert rng.bit_generator.state == ref_rng.bit_generator.state
+    # Lists of rates and counts give a list of ints, the same draws.
+    got = simulate_conversions(crs.tolist(), impressions.tolist(), rng)
+    expected = ref_rng.binomial(impressions, crs).tolist()
+    assert type(got) is list and all(type(x) is int for x in got)
+    assert got == expected
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
     # The scalar path checks its own list of rates; NaN fails there too.
     for bad in (1.5, -0.1, np.nan):
-        with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
-            simulate_conversions(np.append(crs[:-1], bad), impressions, rng)
+        rates = np.append(crs[:-1], bad)
+        for args in ((rates, impressions), (rates.tolist(), impressions.tolist())):
+            with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
+                simulate_conversions(*args, rng)
 
 
 def test_simulate_conversions_concentration():
@@ -352,13 +360,8 @@ def counts_posteriors(counts, ctrl_counts):
     return posts[:-1], posts[-1]
 
 
-def test_pbc_matches_mpmath_oracle():
-    # The oracle first reproduces the closed form on integer shapes, from
-    # wide against narrow to narrow against narrow.
-    for cand, ctrl in [((1, 1), (200, 200)), ((2, 5), (20, 200)), ((5, 2), (200, 20)),
-                       ((20, 20), (1, 2)), ((200, 5), (5, 200)), ((1, 200), (200, 1))]:
-        cand, ctrl = BetaPosterior(*map(float, cand)), BetaPosterior(*map(float, ctrl))
-        assert abs(mpmath_pbc(cand, ctrl) - miller_prob_beats(cand, ctrl)) <= 1e-12
+def oracle_cases():
+    """(candidate, control) posteriors checked against the mpmath oracle."""
     wide = BetaPosterior(0.5, 0.5)
     # Equal variances integrate over the control, Beta(0.7, 300) is the
     # narrower density itself, and Beta(20, 30) is narrower with both shapes
@@ -376,9 +379,60 @@ def test_pbc_matches_mpmath_oracle():
     # No conversions anywhere: every shape alpha is about 7.6e-5.
     (cand, _, _), ctrl = counts_posteriors([(441_053, 0)] * 3, (10, 0))
     cases.append((cand, ctrl))
-    for cand, ctrl in cases:
+    return cases
+
+
+def test_pbc_matches_mpmath_oracle():
+    # The oracle first reproduces the closed form on integer shapes, from
+    # wide against narrow to narrow against narrow.
+    for cand, ctrl in [((1, 1), (200, 200)), ((2, 5), (20, 200)), ((5, 2), (200, 20)),
+                       ((20, 20), (1, 2)), ((200, 5), (5, 200)), ((1, 200), (200, 1))]:
+        cand, ctrl = BetaPosterior(*map(float, cand)), BetaPosterior(*map(float, ctrl))
+        assert abs(mpmath_pbc(cand, ctrl) - miller_prob_beats(cand, ctrl)) <= 1e-12
+    for cand, ctrl in oracle_cases():
         got = prob_beats_control(cand, ctrl)
         assert abs(got - mpmath_pbc(cand, ctrl)) <= 1e-7, (cand, ctrl)
+
+
+count_pair_st = st.integers(1, 3_000_000).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(0, n))
+)
+
+
+def assert_bounds_bracket(cands, ctrls, tol):
+    """pbc_bounds' lo <= prob_beats_control <= hi, to within tol, pair by
+    pair over the aligned (candidate, control) posteriors."""
+    pairs = [columns([(p.alpha, p.beta) for p in side]) for side in (cands, ctrls)]
+    lo, hi = simstats.pbc_bounds(*pairs)
+    pbc = prob_beats_control(*pairs)
+    assert (lo - tol <= pbc).all() and (pbc <= hi + tol).all(), (lo, pbc, hi)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.floats(1e-6, 0.5),
+    st.lists(st.tuples(count_pair_st, count_pair_st), min_size=1, max_size=4),
+)
+@example(1e-6, [((3_000_000, 0), (2_999_000, 0)), ((10, 0), (3_000_000, 3))])
+@example(0.25, [((20, 20), (828_466, 0))])
+def test_pbc_bounds_bracket_pbc(prior_mean, counts):
+    # A tiny prior mean with no conversions gives shapes below 1, which the
+    # split pass integrates; up to 3e6 impressions give betas near 3e6. The
+    # bounds are exact, but a computed PBC is only as good as its
+    # normalising betaln, which scipy gets wrong by up to 1.5e-8 at shapes
+    # near 3e6: against Beta(25, 828541), Beta(45, 75) has PBC within 1e-100
+    # of 1 and lo = 1 - 9e-10, yet computes to 1 - 1.9e-9. So the check allows
+    # the accuracy prob_beats_control promises, PBC_TOL / 10.
+    prior = BetaPosterior(100 * prior_mean, 100 * (1 - prior_mean))
+    cands, ctrls = (
+        [BetaPosterior(*posterior(prior, *pair[side])) for pair in counts] for side in (0, 1)
+    )
+    assert_bounds_bracket(cands, ctrls, simstats.PBC_TOL / 10)
+
+
+def test_pbc_bounds_bracket_oracle_pairs():
+    cands, ctrls = zip(*oracle_cases())
+    assert_bounds_bracket(cands, ctrls, 1e-9)
 
 
 # (control, candidate) shapes. The first five pairs take the first pass

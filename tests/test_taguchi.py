@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from mvtlab import taguchi
 from mvtlab.evaluator import LINEAR, brute_force_best, sample_evaluator
 from mvtlab.genome import Candidate, SearchSpace
 from mvtlab.taguchi import (
@@ -103,6 +104,26 @@ def test_validate_reports_out_of_range_entries():
     assert checks["range"].offending_columns == (0, 1)
     assert checks["balance"].passed
     assert validate(a).pair_balance_info == (((0, 1), False),)
+
+
+def test_pair_balance_table_equals_single_pair_checks():
+    # The table is one bincount over every column pair; merge_columns still
+    # checks its one pair with _pair_balanced. Column 1 of the last array is
+    # out of range, in an otherwise full 2 x 3 x 2 factorial.
+    rows = [[i, j, k] for i in range(2) for j in range(3) for k in range(2)]
+    rows[4][1] = 5
+    out_of_range = OrthogonalArray(column_levels=(2, 3, 2), rows=rows)
+    arrays = [load_bundled_array(name) for name in BUNDLED] + [out_of_range]
+    for a in arrays:
+        expected = tuple(
+            ((i, j), taguchi._pair_balanced(a, i, j))
+            for i in range(a.n_columns)
+            for j in range(i + 1, a.n_columns)
+        )
+        assert validate(a).pair_balance_info == expected
+    assert [balanced for _, balanced in validate(out_of_range).pair_balance_info] == [
+        False, True, False,
+    ]
 
 
 def test_rows_are_one_read_only_int_matrix(nine_row):
