@@ -110,13 +110,14 @@ class Evaluator:
     def _landscape(self) -> np.ndarray:
         # Same float64 additions in the same order as summing one candidate's
         # terms (bias, main effects by variable, pairs in table order), so
-        # every cell equals that per-candidate sum bit for bit.
+        # every cell equals that per-candidate sum bit for bit. The main
+        # effects grow the table one axis at a time as outer sums, so each
+        # addition runs over the axes built so far, not the whole table.
         cards = self.space.cardinalities
-        cr = np.full(cards, self.bias)
-        for i, table in enumerate(self.main_effects):
-            shape = [1] * len(cards)
-            shape[i] = cards[i]
-            cr += np.reshape(table, shape)
+        first, *rest = self.main_effects
+        cr = self.bias + np.asarray(first, dtype=float)
+        for table in rest:
+            cr = np.add.outer(cr, table)
         for (j, k), table in self.interactions.items():
             shape = [1] * len(cards)
             shape[j], shape[k] = cards[j], cards[k]

@@ -7,8 +7,10 @@ mutation. The winner is the tested candidate with the highest probability
 to beat control. A genome is identified by its flat (C-order) index into
 the evaluator's landscape tensor, in breeding's duplicate check as
 everywhere else. Between generations a population is each slot's flat id
-and accumulated impression and conversion counts, as lists of Python ints;
-breeding unravels elites into genome rows, one value index per variable.
+and accumulated impression and conversion counts, as lists of Python ints.
+Breeding works on flat ids too: a gene adds its value index times its
+stride to the flat id, so crossover, mutation and the duplicate check never
+build genome rows. The tested genomes' rows are built only when read.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from operator import mul
 
 import numpy as np
 
@@ -74,14 +75,17 @@ def init_population(space: SearchSpace) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _layout(space: SearchSpace) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(the first generation's flat ids, the C-order strides) of a space: a
-    genome's flat id is its dot product with the strides. Both depend on the
-    space alone, so they are built once per space, as tuples that no run
-    can change."""
+def _layout(space: SearchSpace) -> tuple[tuple[int, ...], tuple[int, ...], np.ndarray]:
+    """(the first generation's flat ids, the C-order strides, the strides
+    and cardinalities as a (2, variables) array) of a space: a genome's flat
+    id is its dot product with the strides. All depend on the space alone,
+    so they are built once per space, as tuples and a read-only array that
+    no run can change."""
     cards = space.cardinalities
     strides = tuple(math.prod(cards[i + 1 :]) for i in range(len(cards)))
-    return tuple((init_population(space) @ strides).tolist()), strides
+    digits = np.array([strides, cards])
+    digits.flags.writeable = False
+    return tuple((init_population(space) @ strides).tolist()), strides, digits
 
 
 def select_elites(
@@ -155,9 +159,9 @@ def _other_value(value: int, k: int, u: float) -> int:
 
 
 # Child blocks of at most this many children are bred one child at a time
-# on Python lists. At two children an array pass is some 25 numpy calls of
-# fixed cost; lists win up to 6 (8 genes) to 10 (3 genes) children, on a
-# 2-core x86-64 box with numpy 2.4 (timings in CHANGES.md).
+# on Python lists; larger blocks take parent picks and crossover as one
+# array pass each. Lists win up to 8 (8 genes) to 10 (4 or 5 genes)
+# children, on a 2-core x86-64 box with numpy 2.4 (timings in CHANGES.md).
 _LIST_CHILDREN = 8
 
 
@@ -175,48 +179,56 @@ def next_generation(
     A population is each slot's flat id and accumulated counts, as lists;
     returns the next one as (ids, impressions, conversions), same size.
 
+    Children are bred on flat ids. A flat id is the sum of its genes'
+    contributions, value index times stride, so crossover picks each gene's
+    contribution from one parent and a mutation or a dedupe nudge adds
+    (new value - old value) times the gene's stride.
+
     One rng.random block drives the whole generation. Each child's row holds
     two parent-pair uniforms, one crossover and one mutation uniform per
     gene, then the gene and value uniforms of its first dedupe nudge; any
     later nudge of the same child draws fresh. Above _LIST_CHILDREN
-    children, parent picks, crossover and mutation each take every child at
-    once; at or below it each child is bred on Python lists. Both give the
-    same genomes and leave rng in the same state.
+    children, parent picks and crossover each take every child at once; at
+    or below it each child is bred on Python lists. Both give the same
+    genomes and leave rng in the same state.
     """
     if not elite_indices:
         raise ValueError("no elites available to breed from")
-    _, strides = _layout(space)
+    _, strides, digits = _layout(space)
     cards = space.cardinalities
-    elites = [[ids[i] // s % k for s, k in zip(strides, cards)] for i in elite_indices]
-    n_elites, n_vars = len(elites), len(cards)
+    n_elites, n_vars = len(elite_indices), len(cards)
+    flats = [ids[i] for i in elite_indices]
     block = rng.random((len(ids) - n_elites, 2 * n_vars + 4))
+    rate = config.mutation_rate
     if len(block) <= _LIST_CHILDREN:
         # parent_pair, crossover and mutate, child by child on Python lists
         # with the same arithmetic.
-        rate = config.mutation_rate
-        bred = elites
-        for u in block.tolist():
+        parents = [[f // s % k * s for s, k in zip(strides, cards)] for f in flats]
+        rows = block.tolist()
+        for u in rows:
             i = int(u[0] * n_elites)
-            a, b = bred[i], bred[(i + 1 + int(u[1] * (n_elites - 1))) % n_elites]
-            child = [x if c < 0.5 else y for x, y, c in zip(a, b, u[2 : 2 + n_vars])]
+            a, b = parents[i], parents[(i + 1 + int(u[1] * (n_elites - 1))) % n_elites]
+            flat = sum([x if c < 0.5 else y for x, y, c in zip(a, b, u[2 : 2 + n_vars])])
             mut = u[2 + n_vars : -2]
             # Most children have no hit; a rate of 0 never reaches the division.
             if min(mut) < rate:
-                child = [
-                    _other_value(g, k, m / rate) if m < rate else g
-                    for g, k, m in zip(child, cards, mut)
-                ]
-            bred.append(child)
-        flats = [sum(map(mul, row, strides)) for row in bred]
+                for g, m in enumerate(mut):
+                    if m < rate:
+                        flat = _step(flat, strides[g], cards[g], m / rate)
+            flats.append(flat)
+        nudges = [u[-2:] for u in rows]
     else:
-        parents = np.array(elites)
+        stride, card = digits
+        parents = np.array(flats)[:, None] // stride % card * stride
         i, j = parent_pair(block[:, 0], block[:, 1], n_elites)
         children = crossover(parents.take(i, 0), parents.take(j, 0), block[:, 2 : 2 + n_vars])
-        children = mutate(children, config.mutation_rate, space, block[:, 2 + n_vars : -2])
-        bred = np.concatenate([parents, children])
-        flats = (bred @ strides).tolist()
-        bred = bred.tolist()
-    _dedupe(bred, flats, n_elites, block[:, -2:].tolist(), space, strides, rng)
+        flats += children.sum(axis=1).tolist()
+        mut = block[:, 2 + n_vars : -2]
+        for n, g in zip(*(x.tolist() for x in np.nonzero(mut < rate))):
+            f = flats[n_elites + n]
+            flats[n_elites + n] = _step(f, strides[g], cards[g], mut[n, g] / rate)
+        nudges = block[:, -2:].tolist()
+    _dedupe(flats, n_elites, nudges, strides, cards, rng)
     unseen = [0] * len(block)
     return (
         flats,
@@ -225,23 +237,27 @@ def next_generation(
     )
 
 
-def _dedupe(rows: list, flats: list, n_elites: int, nudges: list, space, strides, rng) -> None:
+def _step(flat: int, stride: int, k: int, u: float) -> int:
+    """The flat id with the gene of this stride and k values moved to the
+    other value that u picks, as _other_value picks it."""
+    old = flat // stride % k
+    return flat + (_other_value(old, k, u) - old) * stride
+
+
+def _dedupe(flats: list, n_elites: int, nudges: list, strides, cards, rng) -> None:
     """Crossover of a small elite pool mostly reproduces the same few
     genomes; a duplicate child would just split traffic without adding
-    information. Nudge each child row, in place and in order, to a one-gene
-    neighbour until its flat id differs from every row's before it, and
-    update its flat id to match."""
-    cards = space.cardinalities
+    information. Nudge each child's flat id, in place and in order, to a
+    one-gene neighbour's until it differs from every flat id before it."""
     seen = set(flats[:n_elites])
-    for n, (flat, nudge) in enumerate(zip(flats[n_elites:], nudges), start=n_elites):
-        attempts = 0
+    n_vars = len(cards)
+    for n, (u, v) in enumerate(nudges, start=n_elites):
+        flat, attempts = flats[n], 0
         while flat in seen and attempts < 64:
             if attempts:
-                nudge = rng.random(2).tolist()
-            gene = int(nudge[0] * len(cards))
-            old = rows[n][gene]
-            rows[n][gene] = new = _other_value(old, cards[gene], nudge[1])
-            flat += (new - old) * strides[gene]
+                u, v = rng.random(2).tolist()
+            gene = int(u * n_vars)
+            flat = _step(flat, strides[gene], cards[gene], v)
             attempts += 1
         seen.add(flat)
         flats[n] = flat
@@ -267,13 +283,13 @@ def undominated(conversions: list[int], failures: list[int]) -> list[int]:
 
 
 def beat_control_winner(
-    cells: list[tuple[np.ndarray, np.ndarray, int, int]],
+    cells: list[tuple[list[int], list[int], int, int]],
 ) -> list[tuple[int | None, float]]:
     """Per cell of evidence (impressions, conversions, ctrl_impressions,
     ctrl_conversions): the index of the tested genome with the highest
     probability to beat control (None for the control), and that
     probability, under posteriors smoothed by the cell's pooled prior.
-    Element i of a cell's count arrays is genome i's accumulated evidence.
+    Element i of a cell's count lists is genome i's accumulated evidence.
 
     The control is itself a tested candidate (PBC exactly 1/2 against its
     own posterior), so nothing with worse evidence than the default can
@@ -295,14 +311,14 @@ def beat_control_winner(
       Equal means are kept, since the earlier index wins a full tie.
 
     Why the keys hold: a computed PBC is within e of the true one. The
-    quadrature's budget is PBC_TOL / 10 (the 64/96-node agreement, or the
-    split pass's shares per pair); on top come at most 3.4e-8 seen from the
-    first pass's closed-form window tails, up to 1.5e-8 from scipy's
-    betaln at shapes near 3e6, and 1.6e-18 from skipped nodes. The rules
-    need only e < 4e-7, and the bounds' own rounding is far inside the
-    margins. Floor: a dropped genome's computed PBC is
-    below F - 2 PBC_TOL + e, while the genome or control holding F computes
-    at least F - e, more than PBC_TOL higher, so its rounded key is higher.
+    quadrature's budget is PBC_TOL / 10 (the 64/96-node agreement plus the
+    window tails' error bound, or the split pass's shares per pair); on top
+    come up to 1.5e-8 from scipy's betaln at shapes near 3e6 and 1.6e-18
+    from skipped nodes. The rules need only e < 4e-7, and the bounds' own
+    rounding is far inside the margins. Floor: a dropped genome's computed
+    PBC is below F - 2 PBC_TOL + e, while the genome or control holding F
+    computes at least F - e, more than PBC_TOL higher, so its rounded key is
+    higher.
     Certified: a computed PBC of at least 1 - PBC_TOL / 10 - e lies above
     1 - PBC_TOL / 2 and rounds to the top key, which no PBC (clipped to 1)
     exceeds, so the higher mean wins. A genome that beats every other is
@@ -316,15 +332,17 @@ def beat_control_winner(
     fronts, ctrl_means, alphas, betas, ctrl_alphas, ctrl_betas = [], [], [], [], [], []
     for impressions, conversions, ctrl_impressions, ctrl_conversions in cells:
         prior = global_prior(
-            int(impressions.sum()) + ctrl_impressions, int(conversions.sum()) + ctrl_conversions
+            sum(impressions) + ctrl_impressions, sum(conversions) + ctrl_conversions
         )
         ctrl_post = BetaPosterior(*posterior(prior, ctrl_impressions, ctrl_conversions))
-        front = undominated(conversions.tolist(), (impressions - conversions).tolist())
-        a, b = posterior(prior, impressions[front], conversions[front])
+        failures = [n - c for n, c in zip(impressions, conversions)]
+        front = undominated(conversions, failures)
         fronts.append(front)
         ctrl_means.append(ctrl_post.mean)
-        alphas += a.tolist()
-        betas += b.tolist()
+        # posterior()'s conjugate update, element by element on Python
+        # floats: the same IEEE operations as on count arrays.
+        alphas += [prior.alpha + conversions[i] for i in front]
+        betas += [prior.beta + failures[i] for i in front]
         ctrl_alphas += [ctrl_post.alpha] * len(front)
         ctrl_betas += [ctrl_post.beta] * len(front)
     means = [a / (a + b) for a, b in zip(alphas, betas)]
@@ -360,17 +378,17 @@ def beat_control_winner(
 
 @dataclass(frozen=True)
 class EvolutionResult:
-    """One run's evidence. `tested`: the distinct genomes served, one row
-    each in first-tested order, with count arrays aligned to it; the
-    control's own share is counted apart. `generations` logs each
+    """One run's evidence. `tested_ids`: the flat ids of the distinct
+    genomes served, in first-tested order, with count lists aligned to it;
+    the control's own share is counted apart. `generations` logs each
     generation as (flat ids, impressions, conversions, true CRs, elite
-    indices), the counts and rates as lists. The records and the winner are
-    built from these on first access."""
+    indices), the counts and rates as lists. The genome rows, the records
+    and the winner are built from these on first access."""
 
     space: SearchSpace
-    tested: np.ndarray
-    tested_impressions: np.ndarray
-    tested_conversions: np.ndarray
+    tested_ids: list[int]
+    tested_impressions: list[int]
+    tested_conversions: list[int]
     control_impressions: int
     control_conversions: int
     generations: tuple
@@ -404,10 +422,18 @@ class EvolutionResult:
             for g, (ids, imps, convs, crs, elites) in enumerate(self.generations)
         )
 
+    @cached_property
+    def tested(self) -> np.ndarray:
+        """The tested genomes as an (n, variables) int array, one row per
+        element of tested_ids."""
+        return np.transpose(np.unravel_index(self.tested_ids, self.space.cardinalities))
+
     def candidate(self, index: int | None) -> Candidate:
         """The tested genome a beat_control_winner index names; the control
         for None."""
-        return control(self.space) if index is None else Candidate(self.tested[index])
+        if index is None:
+            return control(self.space)
+        return Candidate(np.unravel_index(self.tested_ids[index], self.space.cardinalities))
 
     @cached_property
     def _choice(self) -> tuple[int | None, float]:
@@ -424,15 +450,19 @@ class EvolutionResult:
 
 
 def tally(ids: list[int], impressions: list[int], conversions: list[int]):
-    """(distinct ids, summed impressions, summed conversions) as int arrays,
-    one element per distinct id in order of first appearance in `ids`."""
+    """(distinct ids, summed impressions, summed conversions) as lists of
+    ints, one element per distinct id in order of first appearance in
+    `ids`."""
     sums: dict[int, list[int]] = {}
     for i, n, c in zip(ids, impressions, conversions):
-        total = sums.setdefault(i, [0, 0])
-        total[0] += n
-        total[1] += c
-    counts = np.array(list(sums.values()), dtype=np.int64).reshape(-1, 2)
-    return np.array(list(sums), dtype=np.int64), counts[:, 0], counts[:, 1]
+        total = sums.get(i)
+        if total is None:
+            sums[i] = [n, c]
+        else:
+            total[0] += n
+            total[1] += c
+    totals = list(sums.values())
+    return list(sums), [n for n, _ in totals], [c for _, c in totals]
 
 
 def run_evolution(
@@ -500,7 +530,7 @@ def run_evolution(
     )
     return EvolutionResult(
         space=space,
-        tested=np.transpose(np.unravel_index(tested_ids, space.cardinalities)),
+        tested_ids=tested_ids,
         tested_impressions=tested_imp,
         tested_conversions=tested_conv,
         control_impressions=ctrl_impressions,

@@ -211,9 +211,12 @@ def run_taguchi_arm(
         true_crs = evaluator.true_crs(array.rows)
     conversions = simulate_conversions(true_crs, allocation, rng)
     scores = conversions / allocation
-    # Python's sum, as the goldens were written: numpy's pairwise sum
-    # rounds differently.
-    served = sum(n * cr for n, cr in zip(allocation, true_crs.tolist())) / total_traffic
+    # Left to right, as the goldens were written: numpy's pairwise sum and,
+    # from Python 3.12 on, the compensated sum() round differently.
+    served = 0.0
+    for n, cr in zip(allocation, true_crs.tolist()):
+        served += n * cr
+    served /= total_traffic
     return {
         "predict_cr": evaluator.true_cr(predict_best(array, scores)),
         "candidate_cr": evaluator.true_cr(best_tested(array, scores)),
@@ -411,7 +414,8 @@ def run_experiment(config: ExperimentConfig) -> dict:
         "seed": config.master_seed,
         "config_sha256": config_digest(config),
         "mvtlab_version": __version__,
-        # sum() of floats (the served averages) rounds differently from 3.12 on
+        # The served averages add left to right in explicit loops, so they
+        # do not follow sum(), which compensates floats from Python 3.12 on.
         "python_version": platform.python_version(),
         "numpy_version": np.__version__,
         # beat-control numbers come from scipy.special.betainc

@@ -66,10 +66,13 @@ def simulate_conversions(true_cr, impressions, rng: np.random.Generator):
     int for scalar arguments, a list when both arguments are lists, an array
     otherwise. An array draws element by element from the stream, the same
     values as one scalar call each, so a short 1-D sequence is drawn by
-    scalar calls, which cost less there."""
-    lists = isinstance(true_cr, list) and isinstance(impressions, list)
-    if lists and len(true_cr) == len(impressions) <= _SCALAR_DRAWS:
-        return _scalar_draws(true_cr, impressions, rng)
+    scalar calls, which cost less there; two longer lists go to one array
+    call as they are."""
+    if isinstance(true_cr, list) and isinstance(impressions, list):
+        if len(true_cr) == len(impressions) <= _SCALAR_DRAWS:
+            return _scalar_draws(true_cr, impressions, rng)
+        _check_rates(true_cr)
+        return rng.binomial(impressions, true_cr).tolist()
     crs = np.asarray(true_cr, dtype=float)
     counts = np.asarray(impressions)
     if crs.ndim == 1 and counts.shape == crs.shape and len(crs) <= _SCALAR_DRAWS:
@@ -77,15 +80,18 @@ def simulate_conversions(true_cr, impressions, rng: np.random.Generator):
         return np.array(draws, dtype=np.int64)
     if not ((crs >= 0.0) & (crs <= 1.0)).all():
         raise ValueError(f"true conversion rate {true_cr} outside [0, 1]")
-    draws = rng.binomial(counts, crs)
-    return draws.tolist() if lists else draws
+    return rng.binomial(counts, crs)
+
+
+def _check_rates(rates: list) -> None:
+    # Written so that NaN fails it, as it fails the array check.
+    if not all(0.0 <= p <= 1.0 for p in rates):
+        raise ValueError(f"true conversion rate {rates} outside [0, 1]")
 
 
 def _scalar_draws(rates: list, counts: list, rng: np.random.Generator) -> list[int]:
     """One scalar binomial call per element, in order."""
-    # Written so that NaN fails it, as it fails the array check.
-    if not all(0.0 <= p <= 1.0 for p in rates):
-        raise ValueError(f"true conversion rate {rates} outside [0, 1]")
+    _check_rates(rates)
     return [rng.binomial(n, p) for n, p in zip(counts, rates)]
 
 
@@ -143,12 +149,14 @@ def prob_beats_control(cand, control):
     Each pair is integrated over whichever density is narrower, on its
     16-standard-deviation window, with fixed 64- and 96-node Gauss-Legendre
     rules; when the candidate is the narrower one the result is
-    1 - P(control > candidate). A pair whose two rules disagree by more than
-    PBC_TOL / 10, or whose integrated density is unbounded (a shape below
-    1), is integrated again over the whole unit interval by the same rules
-    in substituted variables, bisecting the pieces they cannot resolve
-    (_upper_prob_split). Deterministic and the same for a candidate alone
-    as in any batch, so seeded runs stay bit-for-bit reproducible.
+    1 - P(control > candidate). A pair whose two rules' disagreement, plus
+    the error bound of the closed-form terms for the mass outside the
+    window, exceeds PBC_TOL / 10, or whose integrated density is unbounded
+    (a shape below 1), is integrated again over the whole unit interval by
+    the same rules in substituted variables, bisecting the pieces they
+    cannot resolve (_upper_prob_split). Deterministic and the same for a
+    candidate alone as in any batch, so seeded runs stay bit-for-bit
+    reproducible.
     """
     single = isinstance(cand, BetaPosterior)
     alphas, betas = ([cand.alpha], [cand.beta]) if single else cand
@@ -199,15 +207,16 @@ def prob_beats_control(cand, control):
     # wins only if the other density sits higher, bounded either way by the
     # tail. betainc is 0 at lo = 0 and 1 at hi = 1, so clamped windows add
     # nothing.
-    tails = special.betainc(a_int, b_int, lo) * (
-        1.0 - special.betainc(a_tail, b_tail, lo)
-    ) + (1.0 - special.betainc(a_int, b_int, hi)) * (
-        1.0 - special.betainc(a_tail, b_tail, hi)
-    )
-    upper_prob = v96 + tails
+    below, above = special.betainc(a_int, b_int, lo), 1.0 - special.betainc(a_int, b_int, hi)
+    tail_lo, tail_hi = special.betainc(a_tail, b_tail, lo), special.betainc(a_tail, b_tail, hi)
+    upper_prob = v96 + (below * (1.0 - tail_lo) + above * (1.0 - tail_hi))
+    # Those terms take the tail's upper probability at lo for the mass below
+    # lo, where it is between that and 1, and at hi for the mass above hi,
+    # where it is between 0 and that: together off by at most this much.
+    tails_error = below * tail_lo + above * (1.0 - tail_hi)
 
     # NaN compares false, so a non-finite estimate is also redone.
-    agree = np.abs(v64 - v96) <= PBC_TOL / 10
+    agree = np.abs(v64 - v96) + tails_error <= PBC_TOL / 10
     redo = ~agree | (a_int < 1.0) | (b_int < 1.0)
     if redo.any():
         pairs = (x[redo] for x in (a_int, b_int, a_tail, b_tail))

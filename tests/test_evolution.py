@@ -56,12 +56,6 @@ def test_init_population_counts():
     assert len(init_population(SearchSpace([2]))) == 1
 
 
-def counts(pairs):
-    """(impressions, conversions) int arrays from (impressions, conversions) pairs."""
-    imp, conv = zip(*pairs)
-    return np.array(imp), np.array(conv)
-
-
 def count_lists(pairs):
     """(impressions, conversions) lists from (impressions, conversions) pairs."""
     imp, conv = zip(*pairs)
@@ -288,10 +282,17 @@ def test_next_generation_property(case):
         return
     elite_rows = genome_rows(new[:e], space)
     # One crossover call breeds the whole child block, one row per child.
+    # Its rows hold each gene's contribution to the flat id, value index
+    # times stride, so dividing by the strides gives the genome rows.
     [(parents_a, parents_b, crossed)] = calls
     assert len(crossed) == len(ids) - e
+    strides = evolution._layout(space)[1]
+    parents_a, parents_b, crossed = (
+        np.divmod(x, strides) for x in (parents_a, parents_b, crossed)
+    )
+    assert not any(remainder.any() for _, remainder in (parents_a, parents_b, crossed))
     rows = genome_rows(new, space)
-    children = zip(parents_a.tolist(), parents_b.tolist(), crossed.tolist())
+    children = zip(parents_a[0].tolist(), parents_b[0].tolist(), crossed[0].tolist())
     for n, (a, b, bred) in enumerate(children, start=e):
         assert a in elite_rows and b in elite_rows and (a != b or e == 1)
         if rate == 0.0:
@@ -356,6 +357,13 @@ def reference_next_generation(ids, impressions, conversions, elite_indices, rate
 @example((MIXED, flat_ids(init_population(MIXED), MIXED), list(range(13)), 0.01, 13))
 @example((SPACE3, flat_ids(init_population(SPACE3), SPACE3), [0, 5], 1.0, 14))
 @example((SPACE3, flat_ids(init_population(SPACE3), SPACE3), [4], 0.01, 15))
+# A single elite, on the array path and on the list path.
+@example((MIXED, flat_ids(init_population(MIXED), MIXED), [7], 0.01, 16))
+@example((MIXED, flat_ids(init_population(MIXED), MIXED)[:9], [2], 0.01, 20))
+# Children that fill the whole space, so most need several fresh nudges
+# (29 and 57 rng.random(2) draws), on the list path and on the array path.
+@example((SearchSpace([2, 2, 2]), list(range(8)), [5], 0.0, 17))
+@example((SearchSpace([2, 2, 2, 2]), list(range(16)), [3], 0.0, 18))
 def test_next_generation_equals_per_child_reference(case):
     space, ids, elites, rate, seed = case
     imp = list(range(10, len(ids) + 10))
@@ -429,8 +437,8 @@ def test_run_evolution_tested_totals_match_plan(monkeypatch):
     served = {tuple(g) for r in result.records for g in r.genomes.tolist()}
     assert len(result.tested) == len(served)
     assert {tuple(g) for g in result.tested.tolist()} == served
-    assert result.tested_impressions.sum() == 50_000
-    assert (result.tested_conversions <= result.tested_impressions).all()
+    assert sum(result.tested_impressions) == 50_000
+    assert all(c <= n for n, c in zip(result.tested_impressions, result.tested_conversions))
     tested = {tuple(g): i for i, g in enumerate(result.tested.tolist())}
     last = result.records[-1]
     for genome, n, c in zip(last.genomes.tolist(), last.impressions, last.conversions):
@@ -444,6 +452,21 @@ def test_run_evolution_tested_totals_match_plan(monkeypatch):
     assert imp is result.tested_impressions and conv is result.tested_conversions
     assert ctrl_imp == sum(slots[0] for slots in plan)
     assert 0 <= ctrl_conv <= ctrl_imp
+
+
+def test_tested_rows_and_candidates_unravel_the_flat_ids():
+    # The tested rows are built on first access from the flat ids, and a
+    # winner index names the same genome either way.
+    space = SearchSpace([3, 6, 2])
+    _, result = run_once(space, 5, total=50_000)
+    assert "tested" not in vars(result)
+    expected = genome_rows(result.tested_ids, space)
+    assert result.tested.tolist() == expected
+    assert result.tested is result.tested
+    for i in range(len(result.tested_ids)):
+        assert result.candidate(i) == Candidate(result.tested[i])
+        assert result.candidate(i).choices == tuple(expected[i])
+    assert result.candidate(None) == Candidate([0, 0, 0])
 
 
 def test_run_evolution_determinism():
@@ -502,10 +525,10 @@ def test_winner_near_one_ranked_by_posterior_mean():
     # has the higher PBC, by less than half a PBC_TOL step; the lightly
     # tested one has the higher posterior mean and must win.
     ctrl_imp, ctrl_conv = 100_000, 5_000
-    imp, conv = counts([(1_000_000, 60_000), (5_000, 334)])  # sure, better
-    prior = global_prior(int(imp.sum()) + ctrl_imp, int(conv.sum()) + ctrl_conv)
+    imp, conv = count_lists([(1_000_000, 60_000), (5_000, 334)])  # sure, better
+    prior = global_prior(sum(imp) + ctrl_imp, sum(conv) + ctrl_conv)
     ctrl_post = BetaPosterior(*posterior(prior, ctrl_imp, ctrl_conv))
-    sure, better = (BetaPosterior(a, b) for a, b in zip(*posterior(prior, imp, conv)))
+    sure, better = (BetaPosterior(*posterior(prior, n, c)) for n, c in zip(imp, conv))
     pbc_sure = prob_beats_control(sure, ctrl_post)
     pbc_better = prob_beats_control(better, ctrl_post)
     assert 0 < pbc_sure - pbc_better < PBC_TOL / 2
@@ -517,7 +540,7 @@ def test_winner_near_one_ranked_by_posterior_mean():
 
 
 def test_winner_defaults_to_control():
-    imp, conv = counts([(10_000, 300)])
+    imp, conv = count_lists([(10_000, 300)])
     assert beat_control_winner([(imp, conv, 10_000, 600)]) == [(None, 0.5)]
     assert beat_control_winner([]) == []
 
@@ -538,9 +561,9 @@ def test_undominated_equals_dominance_definition(pairs):
 
 def full_winner(imp, conv, ctrl_imp, ctrl_conv):
     """beat_control_winner's key over every tested genome, with no pruning."""
-    prior = global_prior(int(imp.sum()) + ctrl_imp, int(conv.sum()) + ctrl_conv)
+    prior = global_prior(sum(imp) + ctrl_imp, sum(conv) + ctrl_conv)
     ctrl_post = BetaPosterior(*posterior(prior, ctrl_imp, ctrl_conv))
-    posts = [BetaPosterior(*posterior(prior, n, c)) for n, c in zip(imp.tolist(), conv.tolist())]
+    posts = [BetaPosterior(*posterior(prior, n, c)) for n, c in zip(imp, conv)]
     alphas, betas = [p.alpha for p in posts], [p.beta for p in posts]
     pbcs = [0.5, *prob_beats_control((alphas, betas), ctrl_post).tolist()]
     means = [ctrl_post.mean, *(p.mean for p in posts)]
@@ -555,7 +578,7 @@ count_pairs = st.integers(10, 1_000_000).flatmap(
 
 def case(pairs, ctrl_pair):
     """(impressions, conversions, control impressions, control conversions)."""
-    return (*counts(pairs), *ctrl_pair)
+    return (*count_lists(pairs), *ctrl_pair)
 
 
 @st.composite
@@ -609,7 +632,7 @@ def test_bound_rules_drop_front_genomes(cell, integrated):
     # prob_beats_control call sees how many were integrated, so the rules
     # must really have fired for the winner check to mean anything.
     imp, conv, _, _ = cell
-    assert len(undominated(conv.tolist(), (imp - conv).tolist())) == 2
+    assert len(undominated(conv, [n - c for n, c in zip(imp, conv)])) == 2
     sizes = []
 
     def spy(cand, control):
@@ -635,8 +658,9 @@ def test_tally_equals_dict_reference(stream):
         sums[0] += n
         sums[1] += c
     ids, imp, conv = ([row[k] for row in stream] for k in range(3))
-    got_ids, got_imp, got_conv = tally(ids, imp, conv)
-    assert got_ids.dtype == got_imp.dtype == got_conv.dtype == np.int64
-    assert got_ids.tolist() == list(reference)
-    assert got_imp.tolist() == [n for n, _ in reference.values()]
-    assert got_conv.tolist() == [c for _, c in reference.values()]
+    got = tally(ids, imp, conv)
+    assert all(type(x) is list and all(type(v) is int for v in x) for x in got)
+    got_ids, got_imp, got_conv = got
+    assert got_ids == list(reference)
+    assert got_imp == [n for n, _ in reference.values()]
+    assert got_conv == [c for _, c in reference.values()]

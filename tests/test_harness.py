@@ -2,6 +2,7 @@
 parsing, and the CLI."""
 
 import json
+import math
 import platform
 import xml.etree.ElementTree as ET
 from dataclasses import fields, replace
@@ -140,6 +141,20 @@ def test_taguchi_arm_noiseless_predict_hits_oracle():
         _, opt = brute_force_best(ev)
         hits += result["predict_cr"] == pytest.approx(opt)
     assert hits >= 9
+
+
+def test_taguchi_served_average_adds_left_to_right():
+    # The served average adds row by row, left to right, as the goldens
+    # were written. A compensated sum (math.fsum here, sum() from Python
+    # 3.12 on) rounds these rates differently.
+    array = load_bundled_array("oa4_2x3")
+    ev = sample_evaluator(SearchSpace([2, 2, 2]), LINEAR, seed=0)
+    crs = [0.1, 0.2, 0.3, 0.05]
+    left_to_right = ((0.1 + 0.2) + 0.3) + 0.05
+    assert left_to_right / 4 != math.fsum(crs) / 4
+    rng = np.random.Generator(np.random.PCG64(0))
+    result = run_taguchi_arm(array, ev, 4, rng, np.array(crs))
+    assert result["taguchi_served"] == left_to_right / 4
 
 
 def test_sweep_is_one_table_for_every_curve():

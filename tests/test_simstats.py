@@ -379,6 +379,9 @@ def oracle_cases():
     # No conversions anywhere: every shape alpha is about 7.6e-5.
     (cand, _, _), ctrl = counts_posteriors([(441_053, 0)] * 3, (10, 0))
     cases.append((cand, ctrl))
+    # A first-pass pair whose integrated shape is near 1 and whose other
+    # density has a steep CDF at the window's lower end.
+    cases.append((BetaPosterior(1.65, 344_525.0), BetaPosterior(2.7e-4, 148.8)))
     return cases
 
 
