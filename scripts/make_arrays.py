@@ -18,7 +18,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import numpy as np
 
-from mvtlab.taguchi import OrthogonalArray, load_array, merge_columns, save_array
+from mvtlab.taguchi import ArrayValidationError, OrthogonalArray, load_array, save_array, validate
 
 OUT = Path(__file__).resolve().parent.parent / "src" / "mvtlab" / "arrays"
 
@@ -127,6 +127,29 @@ def make_oa36_base():
                     b_i += 1
             rows.append(tuple(row))
     return OrthogonalArray(column_levels=BASE_LAYOUT, rows=tuple(rows))
+
+
+def merge_columns(a, col2, col3):
+    """Fuse a 2-level column and a 3-level column into one 6-level column
+    (value 3*v2 + v3) placed at the smaller of the two positions.
+
+    Requires the pair to be balanced so the merged column stays balanced.
+    """
+    if a.column_levels[col2] != 2:
+        raise ValueError(f"column {col2} has {a.column_levels[col2]} levels, need 2")
+    if a.column_levels[col3] != 3:
+        raise ValueError(f"column {col3} has {a.column_levels[col3]} levels, need 3")
+    keep, drop = min(col2, col3), max(col2, col3)
+    if not dict(validate(a).pair_balance_info)[keep, drop]:
+        raise ArrayValidationError(
+            f"columns {col2} and {col3} are not pair-balanced; merge would be unbalanced"
+        )
+    levels = list(a.column_levels)
+    levels[keep] = 6
+    del levels[drop]
+    rows = np.delete(a.rows, drop, axis=1)
+    rows[:, keep] = 3 * a.rows[:, col2] + a.rows[:, col3]
+    return OrthogonalArray(column_levels=tuple(levels), rows=rows)
 
 
 def make_oa36_mixed(base):

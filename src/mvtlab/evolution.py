@@ -162,6 +162,9 @@ def _other_value(value: int, k: int, u: float) -> int:
 # on Python lists; larger blocks take parent picks and crossover as one
 # array pass each. Lists win up to 8 (8 genes) to 10 (4 or 5 genes)
 # children, on a 2-core x86-64 box with numpy 2.4 (timings in CHANGES.md).
+# The benchmark runs both sides: setting1-linear breeds 2 children per
+# generation and mixed-nonlinear 17. Lists alone made mixed-nonlinear's run
+# 12% slower, and the array pass alone made setting1-linear's 44% slower.
 _LIST_CHILDREN = 8
 
 
@@ -382,8 +385,9 @@ class EvolutionResult:
     genomes served, in first-tested order, with count lists aligned to it;
     the control's own share is counted apart. `generations` logs each
     generation as (flat ids, impressions, conversions, true CRs, elite
-    indices), the counts and rates as lists. The genome rows, the records
-    and the winner are built from these on first access."""
+    indices), the counts and rates as lists. The genome rows and the
+    records are built from these on first access; beat_control_winner picks
+    the winner from `evidence`."""
 
     space: SearchSpace
     tested_ids: list[int]
@@ -434,19 +438,6 @@ class EvolutionResult:
         if index is None:
             return control(self.space)
         return Candidate(np.unravel_index(self.tested_ids[index], self.space.cardinalities))
-
-    @cached_property
-    def _choice(self) -> tuple[int | None, float]:
-        [choice] = beat_control_winner([self.evidence])
-        return choice
-
-    @property
-    def winner(self) -> Candidate:
-        return self.candidate(self._choice[0])
-
-    @property
-    def winner_pbc(self) -> float:
-        return self._choice[1]
 
 
 def tally(ids: list[int], impressions: list[int], conversions: list[int]):

@@ -194,27 +194,25 @@ def run_taguchi_arm(
     evaluator: Evaluator,
     total_traffic: int,
     rng: np.random.Generator,
-    true_crs: np.ndarray | None = None,
+    true_crs: list[float],
 ) -> dict[str, float]:
     """Spread traffic evenly over the array rows, observe conversions, score
     rows by observed rate, and read off the predicted-best and best-tested
     candidates' true conversion rates, plus the impression-weighted true
-    conversion rate of all traffic served. `true_crs`, the rows' true
-    conversion rates, is read from the evaluator when not given."""
+    conversion rate of all traffic served. `true_crs` is the list of the
+    rows' true conversion rates, as evaluator.true_crs gives them."""
     if array.column_levels != evaluator.space.cardinalities:
         raise ValueError(
             f"array levels {array.column_levels} do not match "
             f"space {evaluator.space.cardinalities}"
         )
     allocation = allocate_taguchi(total_traffic, array.n_rows)
-    if true_crs is None:
-        true_crs = evaluator.true_crs(array.rows)
     conversions = simulate_conversions(true_crs, allocation, rng)
-    scores = conversions / allocation
+    scores = [c / n for c, n in zip(conversions, allocation)]
     # Left to right, as the goldens were written: numpy's pairwise sum and,
     # from Python 3.12 on, the compensated sum() round differently.
     served = 0.0
-    for n, cr in zip(allocation, true_crs.tolist()):
+    for n, cr in zip(allocation, true_crs):
         served += n * cr
     served /= total_traffic
     return {
@@ -260,7 +258,7 @@ def sweep(config: ExperimentConfig) -> dict[str, np.ndarray]:
     for rep in range(config.repetitions):
         if evaluator is None or not config.fixed_evaluator:
             evaluator = _evaluator_for(config, rep)
-            row_crs = evaluator.true_crs(array.rows)
+            row_crs = evaluator.true_crs(array.rows).tolist()
         results = []
         for t_idx, total in enumerate(config.traffic):
             tag_rng = np.random.Generator(

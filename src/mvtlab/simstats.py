@@ -54,45 +54,32 @@ def allocate_evolution(
     return [allocate_taguchi(g, population_size) for g in per_gen]
 
 
-# Arrays of at most this many draws are drawn by scalar calls. An array
+# Lists of at most this many draws are drawn by scalar calls. An array
 # binomial call costs about 12 us however small; scalar calls cost about
 # 4 us plus 1 us per draw, and the two cross near 9 draws (2-core x86-64
-# box, numpy 2.4).
+# box, numpy 2.4). The benchmark runs both sides: setting1-linear draws 4
+# per call, mixed-nonlinear 23 (evolution) and 36 (Taguchi rows).
 _SCALAR_DRAWS = 8
 
 
 def simulate_conversions(true_cr, impressions, rng: np.random.Generator):
     """Exact binomial draw of conversions among the given impressions: an
-    int for scalar arguments, a list when both arguments are lists, an array
-    otherwise. An array draws element by element from the stream, the same
-    values as one scalar call each, so a short 1-D sequence is drawn by
-    scalar calls, which cost less there; two longer lists go to one array
-    call as they are."""
-    if isinstance(true_cr, list) and isinstance(impressions, list):
-        if len(true_cr) == len(impressions) <= _SCALAR_DRAWS:
-            return _scalar_draws(true_cr, impressions, rng)
-        _check_rates(true_cr)
-        return rng.binomial(impressions, true_cr).tolist()
-    crs = np.asarray(true_cr, dtype=float)
-    counts = np.asarray(impressions)
-    if crs.ndim == 1 and counts.shape == crs.shape and len(crs) <= _SCALAR_DRAWS:
-        draws = _scalar_draws(crs.tolist(), counts.tolist(), rng)
-        return np.array(draws, dtype=np.int64)
-    if not ((crs >= 0.0) & (crs <= 1.0)).all():
-        raise ValueError(f"true conversion rate {true_cr} outside [0, 1]")
-    return rng.binomial(counts, crs)
-
-
-def _check_rates(rates: list) -> None:
-    # Written so that NaN fails it, as it fails the array check.
+    int for a scalar rate and count, a list of ints for a list of rates and
+    an equally long list of counts. A list is drawn element by element from
+    the stream, the same values as one scalar call each, so a list of at
+    most _SCALAR_DRAWS is drawn by scalar calls, which cost less there, and
+    a longer one by one array call."""
+    rates = true_cr if isinstance(true_cr, list) else [true_cr]
+    # Written so that NaN fails it.
     if not all(0.0 <= p <= 1.0 for p in rates):
-        raise ValueError(f"true conversion rate {rates} outside [0, 1]")
-
-
-def _scalar_draws(rates: list, counts: list, rng: np.random.Generator) -> list[int]:
-    """One scalar binomial call per element, in order."""
-    _check_rates(rates)
-    return [rng.binomial(n, p) for n, p in zip(counts, rates)]
+        raise ValueError(f"true conversion rate {true_cr} outside [0, 1]")
+    if rates is not true_cr:
+        return rng.binomial(impressions, true_cr)
+    if len(rates) != len(impressions):
+        raise ValueError(f"{len(rates)} conversion rates for {len(impressions)} counts")
+    if len(rates) <= _SCALAR_DRAWS:
+        return [rng.binomial(n, p) for n, p in zip(impressions, rates)]
+    return rng.binomial(impressions, rates).tolist()
 
 
 def global_prior(impressions: int, conversions: int) -> BetaPosterior:
@@ -139,12 +126,11 @@ _MAX_PIECES = 1000
 
 def prob_beats_control(cand, control):
     """P(candidate CR > control CR) for independent Beta posteriors, in one
-    vectorised pass: a float for one candidate BetaPosterior, or an array
-    for a batch given as its (alphas, betas) arrays, as posterior() returns
-    them for count arrays, element i for candidate Beta(alphas[i],
-    betas[i]). The control is one BetaPosterior for every candidate, or,
-    for a batch, its own (alphas, betas) arrays aligned with the
-    candidates', element i the control of pair i.
+    vectorised pass: a float for one candidate BetaPosterior against one
+    control BetaPosterior, or an array for a batch of pairs, the candidates
+    and the controls each given as aligned (alphas, betas) sequences,
+    element i for candidate Beta(cand[0][i], cand[1][i]) against control
+    Beta(control[0][i], control[1][i]).
 
     Each pair is integrated over whichever density is narrower, on its
     16-standard-deviation window, with fixed 64- and 96-node Gauss-Legendre
@@ -159,17 +145,13 @@ def prob_beats_control(cand, control):
     reproducible.
     """
     single = isinstance(cand, BetaPosterior)
-    alphas, betas = ([cand.alpha], [cand.beta]) if single else cand
-    a_c = np.asarray(alphas, dtype=float)
-    b_c = np.asarray(betas, dtype=float)
-    if isinstance(control, BetaPosterior):
-        a_k, b_k = control.alpha, control.beta
-    else:
-        a_k, b_k = (np.asarray(x, dtype=float) for x in control)
-        if not a_k.shape == b_k.shape == a_c.shape:
-            raise ValueError(
-                f"control batch of shapes {a_k.shape} and {b_k.shape} for candidates {a_c.shape}"
-            )
+    if single:
+        cand, control = ([cand.alpha], [cand.beta]), ([control.alpha], [control.beta])
+    a_c, b_c, a_k, b_k = (np.asarray(x, dtype=float) for x in (*cand, *control))
+    if not a_k.shape == b_k.shape == a_c.shape:
+        raise ValueError(
+            f"control batch of shapes {a_k.shape} and {b_k.shape} for candidates {a_c.shape}"
+        )
     cand_narrower = _variance(a_c, b_c) < _variance(a_k, b_k)
     a_int = np.where(cand_narrower, a_c, a_k)
     b_int = np.where(cand_narrower, b_c, b_k)

@@ -105,9 +105,10 @@ def validate(a: OrthogonalArray) -> ValidationReport:
 
 
 def _pairs_balanced(a: OrthogonalArray, left, right, in_range) -> list[bool]:
-    """_pair_balanced for every column pair (left[p], right[p]) at once: one
-    bincount over all pairs, each pair's value combinations in its own
-    segment. Columns out of range (in_range False) are clipped into range
+    """Whether every combination of a value of column left[p] with a value
+    of column right[p] occurs in equally many rows, for every pair p at
+    once: one bincount over all pairs, each pair's value combinations in its
+    own segment. Columns out of range (in_range False) are clipped into range
     so that no count leaves its segment, and their pairs read False."""
     if not len(left):
         return []
@@ -119,18 +120,6 @@ def _pairs_balanced(a: OrthogonalArray, left, right, in_range) -> list[bool]:
     counts = np.bincount(codes.ravel(), minlength=sizes.sum())
     even = np.minimum.reduceat(counts, starts) == np.maximum.reduceat(counts, starts)
     return (even & in_range[left] & in_range[right]).tolist()
-
-
-def _pair_balanced(a: OrthogonalArray, i: int, j: int) -> bool:
-    """Whether every combination of a value of column i with a value of
-    column j occurs in equally many rows; False when either column holds a
-    value outside its levels."""
-    ki, kj = a.column_levels[i], a.column_levels[j]
-    pair = a.rows[:, [i, j]]
-    if ((pair < 0) | (pair >= (ki, kj))).any():
-        return False
-    counts = np.bincount(pair[:, 0] * kj + pair[:, 1], minlength=ki * kj)
-    return bool(counts.min() == counts.max())
 
 
 def parse_array(text: str) -> OrthogonalArray:
@@ -231,26 +220,3 @@ def _row_scores(a: OrthogonalArray, scores) -> np.ndarray:
     if len(scores) != a.n_rows:
         raise ValueError(f"{len(scores)} scores for {a.n_rows} rows")
     return scores
-
-
-def merge_columns(a: OrthogonalArray, col2: int, col3: int) -> OrthogonalArray:
-    """Fuse a 2-level column and a 3-level column into one 6-level column
-    (value 3*v2 + v3) placed at the smaller of the two positions.
-
-    Requires the pair to be balanced so the merged column stays balanced.
-    """
-    if a.column_levels[col2] != 2:
-        raise ValueError(f"column {col2} has {a.column_levels[col2]} levels, need 2")
-    if a.column_levels[col3] != 3:
-        raise ValueError(f"column {col3} has {a.column_levels[col3]} levels, need 3")
-    if not _pair_balanced(a, col2, col3):
-        raise ArrayValidationError(
-            f"columns {col2} and {col3} are not pair-balanced; merge would be unbalanced"
-        )
-    keep, drop = min(col2, col3), max(col2, col3)
-    levels = list(a.column_levels)
-    levels[keep] = 6
-    del levels[drop]
-    rows = np.delete(a.rows, drop, axis=1)
-    rows[:, keep] = 3 * a.rows[:, col2] + a.rows[:, col3]
-    return OrthogonalArray(column_levels=tuple(levels), rows=rows)

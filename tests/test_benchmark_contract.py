@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 import mvtlab.cli  # the tracer resolves names through sys.modules
-from mvtlab import evolution, harness
+from mvtlab import evolution, harness, simstats
 from mvtlab.evaluator import LINEAR, sample_evaluator
 from mvtlab.genome import SearchSpace
 from mvtlab.harness import PRESETS
@@ -57,7 +57,7 @@ def test_traced_evolution_run(tracing):
         result = evolution.run_evolution(
             evaluator, plan, config, np.random.Generator(np.random.PCG64(0))
         )
-        result.winner  # picked on first access
+        evolution.beat_control_winner([result.evidence])
     assert tracer.missing == []
     assert tracer.counts["evolution.tested"] == len(result.tested) > 0
     assert tracer.counts["evolution.slots"] == 3 * config.generations
@@ -95,6 +95,36 @@ def test_setup_code_runs_for_every_workload(tracing, monkeypatch, capsys):
         seconds, module_file = capsys.readouterr().out.split()
         assert float(seconds) >= 0, name
         assert Path(module_file) == Path(mvtlab.cli.__file__), name
+
+
+def test_size_selected_forks_have_a_workload_on_each_side(tracing, monkeypatch, tmp_path):
+    # Breeding and the binomial draws each take one of two paths by size,
+    # and each path stays because it is the faster one on some benchmark
+    # workload; a workload set that ran one side only would let the other
+    # slow down unseen. Each workload is run as the benchmark runs it, at
+    # 2 repetitions, and the sizes each fork sees are recorded.
+    monkeypatch.setitem(sys.modules, "tracing", tracing)
+    bench = load("run")
+    children, draws = set(), set()
+    next_generation = evolution.next_generation
+    simulate_conversions = simstats.simulate_conversions
+
+    def breed(ids, impressions, conversions, elite_indices, *args):
+        children.add(len(ids) - len(elite_indices))
+        return next_generation(ids, impressions, conversions, elite_indices, *args)
+
+    def draw(true_cr, impressions, rng):
+        draws.add(len(true_cr))
+        return simulate_conversions(true_cr, impressions, rng)
+
+    monkeypatch.setattr(evolution, "next_generation", breed)
+    for module in (evolution, harness):
+        monkeypatch.setattr(module, "simulate_conversions", draw)
+    for name, workload in bench.WORKLOADS.items():
+        argv = replace(workload, reps=2).argv(7, tmp_path / name)
+        assert mvtlab.cli.main(argv) == 0, name
+    assert min(children) <= evolution._LIST_CHILDREN < max(children), children
+    assert min(draws) <= simstats._SCALAR_DRAWS < max(draws), draws
 
 
 def test_traced_benchmark_run_ends_in_a_result():

@@ -399,6 +399,13 @@ def run_once(space, seed, total=100_000, cfg=None):
     return ev, run_evolution(ev, plan, cfg, rng_for(seed + 1000))
 
 
+def own_winner(result):
+    """A run's own winner and its PBC, picked by beat_control_winner from
+    the run's evidence alone."""
+    [(best, pbc)] = beat_control_winner([result.evidence])
+    return result.candidate(best), pbc
+
+
 def test_run_evolution_structure():
     space = SearchSpace([3, 3, 3, 3])
     ev, result = run_once(space, 0)
@@ -444,11 +451,9 @@ def test_run_evolution_tested_totals_match_plan(monkeypatch):
     for genome, n, c in zip(last.genomes.tolist(), last.impressions, last.conversions):
         i = tested[tuple(genome)]
         assert result.tested_impressions[i] >= n and result.tested_conversions[i] >= c
-    # The winner is picked on first access, once, from the run's own arrays.
+    # The run picks no winner; its evidence is the run's own count lists.
     assert not calls
-    first = (result.winner, result.winner_pbc)
-    assert (result.winner, result.winner_pbc) == first
-    [[(imp, conv, ctrl_imp, ctrl_conv)]] = calls
+    imp, conv, ctrl_imp, ctrl_conv = result.evidence
     assert imp is result.tested_impressions and conv is result.tested_conversions
     assert ctrl_imp == sum(slots[0] for slots in plan)
     assert 0 <= ctrl_conv <= ctrl_imp
@@ -476,8 +481,7 @@ def test_run_evolution_determinism():
     cfg = EvolutionConfig()
     r1 = run_evolution(ev, plan, cfg, rng_for(77))
     r2 = run_evolution(ev, plan, cfg, rng_for(77))
-    assert r1.winner == r2.winner
-    assert r1.winner_pbc == r2.winner_pbc
+    assert own_winner(r1) == own_winner(r2)
     for a, b in zip(r1.records, r2.records):
         assert a.genomes.tolist() == b.genomes.tolist()
         assert a.impressions.tolist() == b.impressions.tolist()
@@ -502,7 +506,7 @@ def test_high_traffic_winner_near_oracle():
     for rep in range(20):
         ev, result = run_once(space, rep, total=1_000_000)
         _, opt = brute_force_best(ev)
-        if opt - ev.true_cr(result.winner) < 0.002:
+        if opt - ev.true_cr(own_winner(result)[0]) < 0.002:
             hits += 1
     assert hits >= 18
 
@@ -515,7 +519,7 @@ def test_winner_not_worse_than_initial_generation():
     for rep in range(20):
         ev, result = run_once(space, rep + 500, total=1_000_000)
         best_initial = max(ev.true_crs(init_population(space)))
-        if ev.true_cr(result.winner) >= best_initial:
+        if ev.true_cr(own_winner(result)[0]) >= best_initial:
             ok += 1
     assert ok >= 18
 
@@ -565,7 +569,8 @@ def full_winner(imp, conv, ctrl_imp, ctrl_conv):
     ctrl_post = BetaPosterior(*posterior(prior, ctrl_imp, ctrl_conv))
     posts = [BetaPosterior(*posterior(prior, n, c)) for n, c in zip(imp, conv)]
     alphas, betas = [p.alpha for p in posts], [p.beta for p in posts]
-    pbcs = [0.5, *prob_beats_control((alphas, betas), ctrl_post).tolist()]
+    ctrls = [ctrl_post.alpha] * len(posts), [ctrl_post.beta] * len(posts)
+    pbcs = [0.5, *prob_beats_control((alphas, betas), ctrls).tolist()]
     means = [ctrl_post.mean, *(p.mean for p in posts)]
     best = max(range(len(pbcs)), key=lambda i: (round(pbcs[i] / PBC_TOL), means[i]))
     return (best - 1 if best else None), pbcs[best]

@@ -125,7 +125,7 @@ def test_taguchi_arm_array_space_mismatch():
     ev = sample_evaluator(SearchSpace([3, 3, 3, 3]), LINEAR, seed=0)
     rng = np.random.Generator(np.random.PCG64(0))
     with pytest.raises(ValueError):
-        run_taguchi_arm(array, ev, 1000, rng)
+        run_taguchi_arm(array, ev, 1000, rng, [0.05] * array.n_rows)
 
 
 def test_taguchi_arm_noiseless_predict_hits_oracle():
@@ -137,7 +137,7 @@ def test_taguchi_arm_noiseless_predict_hits_oracle():
     for seed in range(10):
         ev = sample_evaluator(space, LINEAR, seed=seed)
         rng = np.random.Generator(np.random.PCG64(seed))
-        result = run_taguchi_arm(array, ev, 90_000_000, rng)
+        result = run_taguchi_arm(array, ev, 90_000_000, rng, ev.true_crs(array.rows).tolist())
         _, opt = brute_force_best(ev)
         hits += result["predict_cr"] == pytest.approx(opt)
     assert hits >= 9
@@ -153,7 +153,7 @@ def test_taguchi_served_average_adds_left_to_right():
     left_to_right = ((0.1 + 0.2) + 0.3) + 0.05
     assert left_to_right / 4 != math.fsum(crs) / 4
     rng = np.random.Generator(np.random.PCG64(0))
-    result = run_taguchi_arm(array, ev, 4, rng, np.array(crs))
+    result = run_taguchi_arm(array, ev, 4, rng, crs)
     assert result["taguchi_served"] == left_to_right / 4
 
 
@@ -306,15 +306,17 @@ def test_fixed_sweep_builds_one_evaluator(monkeypatch):
     array = config.load_design()
     for rep in range(config.repetitions):
         evaluator = sample_evaluator(*built[0])
+        row_crs = evaluator.true_crs(array.rows).tolist()
         for t_idx, total in enumerate(config.traffic):
             measured = run_taguchi_arm(
-                array, evaluator, total, cell_rng(config.master_seed, 202, t_idx, rep)
+                array, evaluator, total, cell_rng(config.master_seed, 202, t_idx, rep), row_crs
             )
             result, measured["evolution_served"] = run_evolution_arm(
                 config, evaluator, total, cell_rng(config.master_seed, 303, t_idx, rep)
             )
             # This cell's winner alone, not in its repetition's batch.
-            measured["winner_cr"] = evaluator.true_cr(result.winner)
+            [(best, _)] = beat_control_winner([result.evidence])
+            measured["winner_cr"] = evaluator.true_cr(result.candidate(best))
             assert sorted(measured) == sorted(cells)
             for name, value in measured.items():
                 assert cells[name][rep, t_idx] == value, (name, rep, t_idx)

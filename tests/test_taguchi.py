@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from mvtlab import taguchi
 from mvtlab.evaluator import LINEAR, brute_force_best, sample_evaluator
 from mvtlab.genome import Candidate, SearchSpace
 from mvtlab.taguchi import (
@@ -20,7 +19,6 @@ from mvtlab.taguchi import (
     load_array,
     load_bundled_array,
     main_effect,
-    merge_columns,
     parse_array,
     predict_best,
     save_array,
@@ -106,17 +104,29 @@ def test_validate_reports_out_of_range_entries():
     assert validate(a).pair_balance_info == (((0, 1), False),)
 
 
+def pair_balanced(a: OrthogonalArray, i: int, j: int) -> bool:
+    """Whether every combination of a value of column i with a value of
+    column j occurs in equally many rows; False when either column holds a
+    value outside its levels. One pair at a time, as the oracle for
+    validate's table."""
+    ki, kj = a.column_levels[i], a.column_levels[j]
+    pair = a.rows[:, [i, j]]
+    if ((pair < 0) | (pair >= (ki, kj))).any():
+        return False
+    counts = np.bincount(pair[:, 0] * kj + pair[:, 1], minlength=ki * kj)
+    return bool(counts.min() == counts.max())
+
+
 def test_pair_balance_table_equals_single_pair_checks():
-    # The table is one bincount over every column pair; merge_columns still
-    # checks its one pair with _pair_balanced. Column 1 of the last array is
-    # out of range, in an otherwise full 2 x 3 x 2 factorial.
+    # The table is one bincount over every column pair. Column 1 of the last
+    # array is out of range, in an otherwise full 2 x 3 x 2 factorial.
     rows = [[i, j, k] for i in range(2) for j in range(3) for k in range(2)]
     rows[4][1] = 5
     out_of_range = OrthogonalArray(column_levels=(2, 3, 2), rows=rows)
     arrays = [load_bundled_array(name) for name in BUNDLED] + [out_of_range]
     for a in arrays:
         expected = tuple(
-            ((i, j), taguchi._pair_balanced(a, i, j))
+            ((i, j), pair_balanced(a, i, j))
             for i in range(a.n_columns)
             for j in range(i + 1, a.n_columns)
         )
@@ -223,13 +233,26 @@ def test_best_tested(nine_row):
     assert best_tested(nine_row, scores) == nine_row.row_candidate(expect)
 
 
-def test_merge_columns_balanced():
+@pytest.fixture
+def make_arrays(monkeypatch):
+    """scripts/make_arrays.py, imported as a module."""
+    root = Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location(
+        "make_arrays", root / "scripts" / "make_arrays.py"
+    )
+    script = importlib.util.module_from_spec(spec)
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the script prepends src/
+    spec.loader.exec_module(script)
+    return script
+
+
+def test_merge_columns_balanced(make_arrays):
     base = load_bundled_array("oa36_base")
     # first 2-level column paired with the first 3-level column after it
     levels = base.column_levels
     col2 = levels.index(2)
     col3 = next(i for i, k in enumerate(levels) if k == 3 and i > col2)
-    merged = merge_columns(base, col2, col3)
+    merged = make_arrays.merge_columns(base, col2, col3)
     assert merged.n_rows == base.n_rows
     keep = min(col2, col3)
     assert merged.column_levels[keep] == 6
@@ -237,7 +260,8 @@ def test_merge_columns_balanced():
     assert counts.tolist() == [base.n_rows // 6] * 6
 
 
-def test_merge_columns_rejects_unbalanced_pair():
+def test_merge_columns_rejects_unbalanced_pair(make_arrays):
+    merge_columns = make_arrays.merge_columns
     balanced = tuple((b, t) for b in range(2) for t in range(3) for _ in range(2))
     a = OrthogonalArray(column_levels=(2, 3), rows=balanced)
     assert merge_columns(a, 0, 1).column_levels == (6,)
@@ -247,9 +271,9 @@ def test_merge_columns_rejects_unbalanced_pair():
         merge_columns(OrthogonalArray(column_levels=(2, 3), rows=broken), 0, 1)
 
 
-def test_merge_columns_level_preconditions(nine_row):
+def test_merge_columns_level_preconditions(make_arrays, nine_row):
     with pytest.raises(ValueError):
-        merge_columns(nine_row, 0, 1)  # column 0 has 3 levels, not 2
+        make_arrays.merge_columns(nine_row, 0, 1)  # column 0 has 3 levels, not 2
 
 
 def test_mixed_array_matches_mixed_space():
@@ -258,17 +282,10 @@ def test_mixed_array_matches_mixed_space():
     assert a.column_levels == (3, 6, 2, 3, 6, 2, 2, 6)
 
 
-def test_make_arrays_regenerates_bundled_arrays(tmp_path, monkeypatch):
-    root = Path(__file__).resolve().parents[1]
-    spec = importlib.util.spec_from_file_location(
-        "make_arrays", root / "scripts" / "make_arrays.py"
-    )
-    script = importlib.util.module_from_spec(spec)
-    monkeypatch.setattr(sys, "path", list(sys.path))  # the script prepends src/
-    spec.loader.exec_module(script)
-    monkeypatch.setattr(script, "OUT", tmp_path)
-    script.main()
-    bundled = root / "src" / "mvtlab" / "arrays"
+def test_make_arrays_regenerates_bundled_arrays(make_arrays, tmp_path, monkeypatch):
+    monkeypatch.setattr(make_arrays, "OUT", tmp_path)
+    make_arrays.main()
+    bundled = Path(__file__).resolve().parents[1] / "src" / "mvtlab" / "arrays"
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(f"{n}.txt" for n in BUNDLED)
     for name in BUNDLED:
         assert (tmp_path / f"{name}.txt").read_bytes() == (bundled / f"{name}.txt").read_bytes()
