@@ -17,7 +17,13 @@ from .taguchi import parse_array, validate
 
 
 def _parse_traffic(text: str) -> tuple[int, ...]:
-    return tuple(int(tok) for tok in text.replace(",", " ").split())
+    levels = []
+    for tok in text.replace(",", " ").split():
+        try:
+            levels.append(int(tok))
+        except ValueError:
+            raise ValueError(f"--traffic: {tok!r} is not an integer") from None
+    return tuple(levels)
 
 
 def cmd_run(args) -> int:

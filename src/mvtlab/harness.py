@@ -9,6 +9,7 @@ import json
 import platform
 from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -98,21 +99,6 @@ class ExperimentConfig:
         """The configured orthogonal array, checked against the space and the
         smallest traffic level; loaded once per config."""
         return self._design
-
-    def evolution_plan(self, total_traffic: int) -> tuple[tuple[int, ...], ...]:
-        """The evolution arm's traffic plan at a traffic level, the
-        impressions of each slot per generation; built once per level, as
-        tuples that no cell can change."""
-        plan = self._evolution_plans.get(total_traffic)
-        if plan is None:
-            pop_size = sum(k - 1 for k in self.space.cardinalities)
-            rows = allocate_evolution(total_traffic, self.evolution.generations, pop_size)
-            plan = self._evolution_plans[total_traffic] = tuple(map(tuple, rows))
-        return plan
-
-    @cached_property
-    def _evolution_plans(self) -> dict:
-        return {}
 
     @cached_property
     def _design(self) -> OrthogonalArray:
@@ -209,35 +195,35 @@ def run_taguchi_arm(
     allocation = allocate_taguchi(total_traffic, array.n_rows)
     conversions = simulate_conversions(true_crs, allocation, rng)
     scores = [c / n for c, n in zip(conversions, allocation)]
-    # Left to right, as the goldens were written: numpy's pairwise sum and,
-    # from Python 3.12 on, the compensated sum() round differently.
-    served = 0.0
-    for n, cr in zip(allocation, true_crs):
-        served += n * cr
-    served /= total_traffic
     return {
         "predict_cr": evaluator.true_cr(predict_best(array, scores)),
         "candidate_cr": evaluator.true_cr(best_tested(array, scores)),
-        "taguchi_served": served,
+        "taguchi_served": _served_average(allocation, true_crs, total_traffic),
     }
 
 
 def run_evolution_arm(
     config: ExperimentConfig,
     evaluator: Evaluator,
-    total_traffic: int,
+    plan: tuple[tuple[int, ...], ...],
     rng: np.random.Generator,
 ) -> tuple[EvolutionResult, float]:
-    """Run the evolutionary optimizer on the traffic plan: its result, whose
-    winner beat_control_winner picks, and the impression-weighted true
-    conversion rate of all traffic served."""
-    plan = config.evolution_plan(total_traffic)
+    """Run the evolutionary optimizer on the traffic plan, the impressions
+    of each slot per generation: its result, whose winner
+    beat_control_winner picks, and the impression-weighted true conversion
+    rate of all traffic served."""
     result = run_evolution(evaluator, plan, config.evolution, rng)
+    return result, _served_average(chain(*plan), chain(*result.true_crs), sum(map(sum, plan)))
+
+
+def _served_average(impressions, crs, total_traffic: int) -> float:
+    """The impression-weighted mean of crs, added left to right as the
+    goldens were written: numpy's pairwise sum and, from Python 3.12 on, the
+    compensated sum() round differently."""
     served = 0.0
-    for crs, slots in zip(result.true_crs, plan):
-        for impressions, cr in zip(slots, crs):
-            served += impressions * cr
-    return result, served / total_traffic
+    for n, cr in zip(impressions, crs):
+        served += n * cr
+    return served / total_traffic
 
 
 def sweep(config: ExperimentConfig) -> dict[str, np.ndarray]:
@@ -249,9 +235,15 @@ def sweep(config: ExperimentConfig) -> dict[str, np.ndarray]:
     and serves every traffic level; every cell still has its own seeds. A
     fixed evaluator is repetition 0's landscape, built once for the sweep.
     A repetition's evolution winners are picked together, in one
-    beat_control_winner call over its cells. The array rows' true
-    conversion rates are read once per landscape."""
+    beat_control_winner call over its cells. Each traffic level's evolution
+    plan is built once, as tuples that no cell can change, and the array
+    rows' true conversion rates are read once per landscape."""
     array = config.load_design()
+    pop_size = sum(k - 1 for k in config.space.cardinalities)
+    plans = [
+        tuple(map(tuple, allocate_evolution(total, config.evolution.generations, pop_size)))
+        for total in config.traffic
+    ]
     shape = (config.repetitions, len(config.traffic))
     cells = {name: np.empty(shape) for curve in CURVES.values() for name in curve.values()}
     evaluator = None
@@ -269,7 +261,7 @@ def sweep(config: ExperimentConfig) -> dict[str, np.ndarray]:
             )
             measured = run_taguchi_arm(array, evaluator, total, tag_rng, row_crs)
             result, measured["evolution_served"] = run_evolution_arm(
-                config, evaluator, total, evo_rng
+                config, evaluator, plans[t_idx], evo_rng
             )
             results.append(result)
             for name, value in measured.items():
@@ -412,7 +404,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
         "seed": config.master_seed,
         "config_sha256": config_digest(config),
         "mvtlab_version": __version__,
-        # The served averages add left to right in explicit loops, so they
+        # The served averages add left to right in an explicit loop, so they
         # do not follow sum(), which compensates floats from Python 3.12 on.
         "python_version": platform.python_version(),
         "numpy_version": np.__version__,

@@ -245,6 +245,8 @@ def _upper_prob_split(a, b, a2, b2):
     pieces on both halves share PBC_TOL / 10 equally; a piece whose 64- and
     96-node values disagree by more than its share is bisected, each half
     with half of it. Nothing here depends on the other pairs of the batch.
+    Beta(a, b) must be the narrower density, as in prob_beats_control: over
+    the wider one a value can miss by more than its PBC_TOL / 10 budget.
     """
     n = len(a)
     sd = np.tile(np.sqrt(_variance(a, b)), 2)[:, None]

@@ -178,29 +178,27 @@ def save_array(a: OrthogonalArray) -> str:
 
 
 def main_effect(a: OrthogonalArray, scores, var: int, value: int) -> float:
-    """Mean score over rows whose var-th entry equals value."""
-    scores = _row_scores(a, scores).tolist()
+    """Mean score over rows whose var-th entry equals value, as effect_table
+    gives it."""
     if not 0 <= var < a.n_columns:
         raise IndexError(f"variable {var} out of range")
     if not 0 <= value < a.column_levels[var]:
         raise IndexError(f"value {value} out of range for variable {var}")
-    # Added left to right, as effect_table's bincount does; sum() compensates
-    # float rounding from Python 3.12 on.
-    total = count = 0
-    for s, v in zip(scores, a.rows[:, var].tolist()):
-        if v == value:
-            total += s
-            count += 1
-    return total / count
+    return float(effect_table(a, scores)[var][value])
 
 
 def effect_table(a: OrthogonalArray, scores) -> list[np.ndarray]:
-    """Per variable, the main effect of each of its values, indexed by value."""
+    """Per variable, the main effect of each of its values, indexed by value:
+    the mean of its rows' scores, added in row order. ValueError for a value
+    that no row takes."""
     scores = _row_scores(a, scores)
-    return [
-        np.bincount(col, scores, k) / np.bincount(col, None, k)
-        for col, k in zip(a.rows.T, a.column_levels)
-    ]
+    table = []
+    for var, (col, k) in enumerate(zip(a.rows.T, a.column_levels)):
+        counts = np.bincount(col, None, k)
+        if 0 in counts.tolist():  # at a design's sizes, a fraction of counts.all()'s cost
+            raise ValueError(f"no row takes level {int(np.argmin(counts))} of column {var}")
+        table.append(np.bincount(col, scores, k) / counts)
+    return table
 
 
 def predict_best(a: OrthogonalArray, scores) -> Candidate:

@@ -39,7 +39,7 @@ from mvtlab.harness import (
     run_taguchi_arm,
     sweep,
 )
-from mvtlab.simstats import aggregate_runs, prob_beats_control
+from mvtlab.simstats import aggregate_runs, allocate_evolution, prob_beats_control
 from mvtlab.taguchi import load_bundled_array
 
 SMOKE = dict(traffic=(2_000, 20_000), repetitions=3)
@@ -304,6 +304,7 @@ def test_fixed_sweep_builds_one_evaluator(monkeypatch):
     rep0_seed = int(np.random.SeedSequence([config.master_seed, 101, 0]).generate_state(1)[0])
     assert built == [(config.space, config.mode, config.weights, rep0_seed)]
     array = config.load_design()
+    pop_size = sum(k - 1 for k in config.space.cardinalities)
     for rep in range(config.repetitions):
         evaluator = sample_evaluator(*built[0])
         row_crs = evaluator.true_crs(array.rows).tolist()
@@ -311,8 +312,9 @@ def test_fixed_sweep_builds_one_evaluator(monkeypatch):
             measured = run_taguchi_arm(
                 array, evaluator, total, cell_rng(config.master_seed, 202, t_idx, rep), row_crs
             )
+            plan = allocate_evolution(total, config.evolution.generations, pop_size)
             result, measured["evolution_served"] = run_evolution_arm(
-                config, evaluator, total, cell_rng(config.master_seed, 303, t_idx, rep)
+                config, evaluator, plan, cell_rng(config.master_seed, 303, t_idx, rep)
             )
             # This cell's winner alone, not in its repetition's batch.
             [(best, _)] = beat_control_winner([result.evidence])
@@ -320,6 +322,20 @@ def test_fixed_sweep_builds_one_evaluator(monkeypatch):
             assert sorted(measured) == sorted(cells)
             for name, value in measured.items():
                 assert cells[name][rep, t_idx] == value, (name, rep, t_idx)
+
+
+def test_sweep_builds_one_plan_per_traffic_level(monkeypatch):
+    # Each level's evolution plan serves every repetition's cell at it.
+    config = smoke_config("setting1-linear")
+    levels = []
+
+    def spy(total, *args):
+        levels.append(total)
+        return allocate_evolution(total, *args)
+
+    monkeypatch.setattr(harness, "allocate_evolution", spy)
+    sweep(config)
+    assert levels == list(config.traffic)
 
 
 def test_repetition_winners_equal_one_cell_calls(monkeypatch):
@@ -528,6 +544,7 @@ def test_cli_run_config_errors_are_one_line(tmp_path, capsys):
     argvs = [
         ["run", "setting1-linear", "--reps", "1", "--out", str(tmp_path)],
         ["run", "setting1-linear", "--seed", "-1", "--out", str(tmp_path)],
+        ["run", "setting1-linear", "--traffic", "1000,1e4", "--out", str(tmp_path)],
     ]
     for name, text in bad_configs.items():
         path = tmp_path / f"{name}.cfg"
@@ -537,6 +554,8 @@ def test_cli_run_config_errors_are_one_line(tmp_path, capsys):
         assert cli_main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+        if "--traffic" in argv:  # the flag and its bad token, not int()'s message
+            assert "--traffic" in err and "'1e4'" in err, err
     assert not list(tmp_path.glob("*.csv"))
 
 

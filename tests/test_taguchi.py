@@ -191,13 +191,28 @@ def test_partition_law(nine_row):
 @given(st.sampled_from(BUNDLED), st.integers(min_value=0, max_value=2**32 - 1))
 def test_effect_table_equals_main_effect(name, seed):
     # The per-column bincount adds each value's scores in row order, like
-    # main_effect, so the means agree exactly, not just approximately.
+    # this per-row loop, so the means agree exactly, not just approximately;
+    # main_effect reads the same table.
     a = load_bundled_array(name)
     scores = np.random.default_rng(seed).random(a.n_rows).tolist()
     for var, means in enumerate(effect_table(a, scores)):
         assert len(means) == a.column_levels[var]
         for value, mean in enumerate(means.tolist()):
-            assert mean == main_effect(a, scores, var, value)
+            total = count = 0
+            for score, v in zip(scores, a.rows[:, var].tolist()):
+                if v == value:
+                    total += score
+                    count += 1
+            assert mean == total / count == main_effect(a, scores, var, value)
+
+
+def test_absent_level_is_an_error():
+    # Parsed but not validated: no row takes level 1 of column 0, so that
+    # level has no main effect to rank.
+    a = parse_array("2 2\n0 0\n0 1\n")
+    for call in (lambda: predict_best(a, [0.1, 0.2]), lambda: main_effect(a, [0.1, 0.2], 0, 1)):
+        with pytest.raises(ValueError, match="level 1 of column 0"):
+            call()
 
 
 def test_predict_best_tie_break_is_control(nine_row):
