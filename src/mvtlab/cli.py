@@ -16,14 +16,16 @@ from .harness import PRESETS, configure, parse_config, run_experiment
 from .taguchi import parse_array, validate
 
 
-def _parse_traffic(text: str) -> tuple[int, ...]:
-    levels = []
+def _parse_ints(option: str, text: str):
+    """The comma- or space-separated integers of an option's value: one int
+    alone, else a tuple; ExperimentConfig checks how many the key takes."""
+    ints = []
     for tok in text.replace(",", " ").split():
         try:
-            levels.append(int(tok))
+            ints.append(int(tok))
         except ValueError:
-            raise ValueError(f"--traffic: {tok!r} is not an integer") from None
-    return tuple(levels)
+            raise ValueError(f"{option}: {tok!r} is not an integer") from None
+    return ints[0] if len(ints) == 1 else tuple(ints)
 
 
 def cmd_run(args) -> int:
@@ -49,8 +51,9 @@ def _run_config(args):
         for key in ("seed", "repetitions", "traffic", "fixed_evaluator", "out")
         if getattr(args, key) is not None
     }
-    if args.traffic is not None:
-        overrides["traffic"] = _parse_traffic(args.traffic)
+    for key, option in (("seed", "--seed"), ("repetitions", "--reps"), ("traffic", "--traffic")):
+        if key in overrides:
+            overrides[key] = _parse_ints(option, overrides[key])
     if args.target in PRESETS:
         config = configure(overrides, PRESETS[args.target])
     else:
@@ -102,8 +105,8 @@ def main(argv=None) -> int:
     run_p = sub.add_parser("run", help="run a preset or config-file experiment")
     run_p.add_argument("target", help="preset name or path to a config file")
     # Each dest is a config key (see harness.parse_config).
-    run_p.add_argument("--seed", type=int)
-    run_p.add_argument("--reps", type=int, dest="repetitions", metavar="REPS")
+    run_p.add_argument("--seed")
+    run_p.add_argument("--reps", dest="repetitions", metavar="REPS")
     run_p.add_argument("--traffic", help="comma-separated totals")
     run_p.add_argument("--fixed-evaluator", action="store_const", const=True)
     run_p.add_argument("--out")

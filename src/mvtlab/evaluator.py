@@ -10,11 +10,11 @@ population is one index operation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .genome import Candidate, SearchSpace
+from .genome import Candidate, SearchSpace, _finite
 
 CR_FLOOR = 0.001
 CR_CEIL = 0.999
@@ -39,6 +39,12 @@ class WeightConfig:
     bias: float = DEFAULT_BIAS
     delta_main: float = DEFAULT_DELTA_MAIN
     delta_pair: float = DEFAULT_DELTA_PAIR
+
+    def __post_init__(self):
+        # Stored as floats, so bias = 1 and bias = 1.0 are one config; the
+        # ranges depend on the space and mode, so check_weights checks them.
+        for f in fields(self):
+            object.__setattr__(self, f.name, _finite(getattr(self, f.name), f.name))
 
 
 def check_landscape_size(space: SearchSpace) -> None:

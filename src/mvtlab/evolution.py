@@ -23,7 +23,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .evaluator import Evaluator
-from .genome import Candidate, SearchSpace, control
+from .genome import Candidate, SearchSpace, _finite, _index, control
 from .simstats import (
     PBC_TOL,
     BetaPosterior,
@@ -42,6 +42,9 @@ class EvolutionConfig:
     elite_fraction: float = 0.20
 
     def __post_init__(self):
+        object.__setattr__(self, "generations", _index(self.generations, "generations"))
+        for name in ("mutation_rate", "elite_fraction"):
+            object.__setattr__(self, name, _finite(getattr(self, name), name))
         if self.generations < 1:
             raise ValueError("need at least one generation")
         if not 0.0 <= self.mutation_rate <= 1.0:

@@ -5,7 +5,9 @@ A candidate is one value choice per variable.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -19,6 +21,16 @@ def _index(value, what: str) -> int:
         return operator.index(value)
     except TypeError:
         raise ValueError(f"{what} must be an int, got {value!r}") from None
+
+
+def _finite(value, what: str) -> float:
+    """value as a finite Python float. Ints, floats and numpy numbers pass;
+    bools, non-numbers, NaN and infinities are a ValueError."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        with contextlib.suppress(OverflowError):  # an int beyond float range
+            if math.isfinite(number := float(value)):
+                return number
+    raise ValueError(f"{what} must be a finite number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -51,9 +63,6 @@ class Candidate:
 
     def __init__(self, choices):
         object.__setattr__(self, "choices", tuple(_index(v, "choice") for v in choices))
-
-    def __len__(self) -> int:
-        return len(self.choices)
 
     def validate(self, space: SearchSpace) -> None:
         if len(self.choices) != len(space):

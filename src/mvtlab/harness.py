@@ -26,12 +26,12 @@ from .evaluator import (
     sample_evaluator,
 )
 from .evolution import EvolutionConfig, EvolutionResult, beat_control_winner, run_evolution
-from .genome import SearchSpace
+from .genome import SearchSpace, _index
 from .simstats import aggregate_runs, allocate_evolution, allocate_taguchi, simulate_conversions
 from .taguchi import (
     OrthogonalArray,
     best_tested,
-    load_array_file,
+    load_array,
     load_bundled_array,
     predict_best,
 )
@@ -67,10 +67,29 @@ class ExperimentConfig:
     out_dir: str = "out"
 
     def __post_init__(self):
-        # Settings a sweep would otherwise trip over mid-run are rejected
-        # here, before the first cell (the array's in load_design);
-        # aggregate_runs, for one, needs two values per traffic level.
-        # The name is every output file's stem; no output may leave out_dir.
+        # However the config is built, settings a sweep would trip over are
+        # rejected here (the array's in load_design), naming the config key.
+        # Types first: a list space becomes a SearchSpace, traffic a tuple.
+        texts = {"name": self.name, "mode": self.mode, "curve": self.curve, "out": self.out_dir}
+        if self.array is not None:
+            texts["array"] = self.array
+        for key, value in texts.items():
+            if not isinstance(value, str):
+                raise ValueError(f"{key} must be a string, got {value!r}")
+        if not isinstance(self.fixed_evaluator, bool):
+            raise ValueError(
+                f"fixed_evaluator must be True or False, got {self.fixed_evaluator!r}"
+            )
+        if isinstance(self.space, (list, tuple)):
+            object.__setattr__(self, "space", SearchSpace(self.space))
+        if not isinstance(self.space, SearchSpace):
+            raise ValueError(f"space must be a list of ints, got {self.space!r}")
+        levels = self.traffic if isinstance(self.traffic, (list, tuple)) else (self.traffic,)
+        object.__setattr__(self, "traffic", tuple(_index(t, "traffic") for t in levels))
+        object.__setattr__(self, "repetitions", _index(self.repetitions, "repetitions"))
+        object.__setattr__(self, "master_seed", _index(self.master_seed, "seed"))
+        # aggregate_runs, for one, needs two values per traffic level. The
+        # name is every output file's stem; no output may leave out_dir.
         if self.name in ("", ".", "..") or "/" in self.name or "\\" in self.name:
             raise ValueError(f"name {self.name!r} is not a plain file name")
         if self.repetitions < 2:
@@ -105,7 +124,7 @@ class ExperimentConfig:
         if self.array is None:
             raise ValueError("config names no orthogonal array")
         if self.array.endswith(".txt"):
-            array = load_array_file(self.array)
+            array = load_array(Path(self.array).read_text())
         else:
             array = load_bundled_array(self.array)
         if array.column_levels != self.space.cardinalities:
@@ -415,68 +434,27 @@ def run_experiment(config: ExperimentConfig) -> dict:
     return {"csv": csv_path, "svg": svg_path, "manifest": manifest_path, "series": series}
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _text(key, value):
-    if not isinstance(value, str):
-        raise ValueError(f"{key} must be a string, got {value!r}")
-    return value
-
-
-def _int(key, value):
-    if not _is_int(value):
-        raise ValueError(f"{key} must be an int, got {value!r}")
-    return value
-
-
-def _number(key, value):
-    if not (_is_int(value) or isinstance(value, float)):
-        raise ValueError(f"{key} must be a number, got {value!r}")
-    return float(value)
-
-
-def _flag(key, value):
-    if not isinstance(value, bool):
-        raise ValueError(f"{key} must be True or False, got {value!r}")
-    return value
-
-
-def _space(key, value):
-    if not isinstance(value, (list, tuple)) or not all(map(_is_int, value)):
-        raise ValueError(f"{key} must be a list of ints, got {value!r}")
-    return SearchSpace(value)
-
-
-def _traffic(key, value):
-    levels = (value,) if _is_int(value) else value
-    if not isinstance(levels, (list, tuple)) or not all(map(_is_int, levels)):
-        raise ValueError(f"{key} must be an int or a list of ints, got {value!r}")
-    return tuple(levels)
-
-
 # Config key -> (sub-config holding the field, or None for a field of
-# ExperimentConfig; field name; value check). Config files and the command
-# line's overrides both go through this table; the defaults are the
+# ExperimentConfig; field name). Config files and the command line's
+# overrides both go through this table; the defaults and the checks are the
 # dataclasses'.
 _CONFIG_KEYS = {
-    "name": (None, "name", _text),
-    "space": (None, "space", _space),
-    "mode": (None, "mode", _text),
-    "bias": ("weights", "bias", _number),
-    "delta_main": ("weights", "delta_main", _number),
-    "delta_pair": ("weights", "delta_pair", _number),
-    "array": (None, "array", _text),
-    "generations": ("evolution", "generations", _int),
-    "mutation_rate": ("evolution", "mutation_rate", _number),
-    "elite_fraction": ("evolution", "elite_fraction", _number),
-    "traffic": (None, "traffic", _traffic),
-    "repetitions": (None, "repetitions", _int),
-    "seed": (None, "master_seed", _int),
-    "fixed_evaluator": (None, "fixed_evaluator", _flag),
-    "curve": (None, "curve", _text),
-    "out": (None, "out_dir", _text),
+    "name": (None, "name"),
+    "space": (None, "space"),
+    "mode": (None, "mode"),
+    "bias": ("weights", "bias"),
+    "delta_main": ("weights", "delta_main"),
+    "delta_pair": ("weights", "delta_pair"),
+    "array": (None, "array"),
+    "generations": ("evolution", "generations"),
+    "mutation_rate": ("evolution", "mutation_rate"),
+    "elite_fraction": ("evolution", "elite_fraction"),
+    "traffic": (None, "traffic"),
+    "repetitions": (None, "repetitions"),
+    "seed": (None, "master_seed"),
+    "fixed_evaluator": (None, "fixed_evaluator"),
+    "curve": (None, "curve"),
+    "out": (None, "out_dir"),
 }
 
 
@@ -487,8 +465,8 @@ def configure(values: dict, base: ExperimentConfig | None = None) -> ExperimentC
     fields: dict = {}
     nested: dict = {"weights": {}, "evolution": {}}
     for key, value in values.items():
-        group, name, check = _CONFIG_KEYS[key]
-        (nested[group] if group else fields)[name] = check(key, value)
+        group, name = _CONFIG_KEYS[key]
+        (nested[group] if group else fields)[name] = value
     if base is None:
         if "space" not in fields:
             raise ValueError("config must define a space")

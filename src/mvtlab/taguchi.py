@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from importlib import resources
-from pathlib import Path
 
 import numpy as np
 
@@ -151,10 +150,6 @@ def load_array(text: str) -> OrthogonalArray:
         )
         raise ArrayValidationError(f"array fails validation: {names}")
     return a
-
-
-def load_array_file(path) -> OrthogonalArray:
-    return load_array(Path(path).read_text())
 
 
 def load_bundled_array(name: str) -> OrthogonalArray:

@@ -4,8 +4,11 @@ parsing, and the CLI."""
 import json
 import math
 import platform
+import re
 import xml.etree.ElementTree as ET
 from dataclasses import fields, replace
+from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -102,6 +105,45 @@ def test_config_validation():
             replace(PRESETS["setting2-linear"], weights=weights)
     with pytest.raises(EvaluatorConfigError):  # 8 x 0.01 + 28 pairs x 0.04
         replace(PRESETS["mixed-nonlinear"], weights=WeightConfig(delta_pair=0.04))
+
+
+setting1 = partial(replace, PRESETS["setting1-linear"])
+# (how a config is built, a bad setting, the config key its error names)
+BAD_SETTINGS = [
+    (setting1, {"fixed_evaluator": "no"}, "fixed_evaluator"),
+    (setting1, {"traffic": (1000.5,)}, "traffic"),
+    (setting1, {"repetitions": 2.5}, "repetitions"),
+    (setting1, {"master_seed": 1.7}, "seed"),
+    (setting1, {"name": 7}, "name"),
+    (setting1, {"space": 5}, "space"),
+    (EvolutionConfig, {"generations": 2.5}, "generations"),
+    (WeightConfig, {"delta_main": math.nan}, "delta_main"),
+    (WeightConfig, {"bias": math.inf}, "bias"),
+    (EvolutionConfig, {"mutation_rate": True}, "mutation_rate"),
+]
+
+
+@pytest.mark.parametrize("build, setting, key", BAD_SETTINGS, ids=[row[2] for row in BAD_SETTINGS])
+def test_every_road_rejects_bad_settings(build, setting, key):
+    # Presets, replace() and the dataclasses check what config files do:
+    # one line naming the config key, before any cell runs.
+    with pytest.raises(ValueError) as info:
+        build(**setting)
+    message = str(info.value)
+    assert message.startswith(f"{key} must be ") and "\n" not in message, message
+
+
+def test_config_stores_python_values():
+    config = replace(
+        PRESETS["setting1-linear"], repetitions=np.int64(3), traffic=np.int64(5000), space=[2] * 3
+    )
+    assert type(config.repetitions) is int and config.repetitions == 3
+    assert config.traffic == (5000,) and type(config.traffic[0]) is int
+    assert config.space == SearchSpace([2, 2, 2])
+    assert len(config_digest(config)) == 64
+    # numbers are stored as floats, so an int and its float are one config
+    assert WeightConfig(delta_pair=0) == WeightConfig(delta_pair=0.0)
+    assert type(EvolutionConfig(generations=np.int64(4)).generations) is int
 
 
 def test_config_design_checks():
@@ -269,6 +311,12 @@ def test_run_experiment_outputs(tmp_path):
     assert manifest["scipy_version"] == scipy.__version__
     assert manifest["mvtlab_version"] == mvtlab.__version__
     assert manifest["python_version"] == platform.python_version()
+
+
+def test_version_is_one_number():
+    # A regex, not tomllib: the package supports Python 3.10.
+    pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+    assert re.findall(r'^version = "(.*)"$', pyproject, re.M) == [mvtlab.__version__]
 
 
 def test_rerun_is_byte_identical(tmp_path):
@@ -545,17 +593,20 @@ def test_cli_run_config_errors_are_one_line(tmp_path, capsys):
         ["run", "setting1-linear", "--reps", "1", "--out", str(tmp_path)],
         ["run", "setting1-linear", "--seed", "-1", "--out", str(tmp_path)],
         ["run", "setting1-linear", "--traffic", "1000,1e4", "--out", str(tmp_path)],
+        ["run", "setting1-linear", "--reps", "2.5", "--out", str(tmp_path)],
+        ["run", "setting1-linear", "--seed", "abc", "--out", str(tmp_path)],
     ]
     for name, text in bad_configs.items():
         path = tmp_path / f"{name}.cfg"
         path.write_text(text)
         argvs.append(["run", str(path), "--out", str(tmp_path)])
+    bad_ints = {"1000,1e4": "--traffic: '1e4'", "2.5": "--reps: '2.5'", "abc": "--seed: 'abc'"}
     for argv in argvs:
         assert cli_main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
-        if "--traffic" in argv:  # the flag and its bad token, not int()'s message
-            assert "--traffic" in err and "'1e4'" in err, err
+        if argv[3] in bad_ints:  # the option and its bad token, not int()'s or argparse's
+            assert err == f"error: {bad_ints[argv[3]]} is not an integer\n", err
     assert not list(tmp_path.glob("*.csv"))
 
 
