@@ -22,10 +22,6 @@ CR_CEIL = 0.999
 LINEAR = "linear"
 NONLINEAR = "nonlinear"
 
-DEFAULT_BIAS = 0.05
-DEFAULT_DELTA_MAIN = 0.01
-DEFAULT_DELTA_PAIR = 0.005
-
 # The dense landscape costs 8 bytes per candidate: 10^7 cells is 80 MB.
 LANDSCAPE_CAP = 10**7
 
@@ -36,9 +32,9 @@ class EvaluatorConfigError(ValueError):
 
 @dataclass(frozen=True)
 class WeightConfig:
-    bias: float = DEFAULT_BIAS
-    delta_main: float = DEFAULT_DELTA_MAIN
-    delta_pair: float = DEFAULT_DELTA_PAIR
+    bias: float = 0.05
+    delta_main: float = 0.01
+    delta_pair: float = 0.005
 
     def __post_init__(self):
         # Stored as floats, so bias = 1 and bias = 1.0 are one config; the
@@ -57,8 +53,10 @@ def check_landscape_size(space: SearchSpace) -> None:
 
 
 def check_weights(space: SearchSpace, mode: str, weights: WeightConfig) -> None:
-    """Reject weight magnitudes that cannot produce a sane landscape over
-    `space` in `mode`."""
+    """Reject an unknown mode, and weight magnitudes that cannot produce a
+    sane landscape over `space` in `mode`."""
+    if mode not in (LINEAR, NONLINEAR):
+        raise ValueError(f"unknown mode {mode!r}; use {LINEAR} or {NONLINEAR}")
     if not 0.0 < weights.bias < 1.0:
         raise EvaluatorConfigError(f"bias must lie in (0, 1), got {weights.bias}")
     if weights.delta_main <= 0:
@@ -78,21 +76,18 @@ def check_weights(space: SearchSpace, mode: str, weights: WeightConfig) -> None:
 
 @dataclass(frozen=True)
 class Evaluator:
-    """Holds the bias, per-variable main-effect table, and (in nonlinear
-    mode) the per-variable-pair interaction table, plus `table`, the clamped
-    true conversion rate of every candidate as an array of shape
+    """Holds the bias, per-variable main-effect table, and per-variable-pair
+    interaction table (a linear landscape has none), plus `table`, the
+    clamped true conversion rate of every candidate as an array of shape
     `space.cardinalities`."""
 
     space: SearchSpace
     bias: float
     main_effects: tuple[tuple[float, ...], ...]
     interactions: dict = field(default_factory=dict)  # (j, k), j < k -> 2-d array-like
-    mode: str = LINEAR
     table: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.mode not in (LINEAR, NONLINEAR):
-            raise ValueError(f"unknown mode {self.mode!r}")
         cards = self.space.cardinalities
         if len(self.main_effects) != len(cards):
             raise ValueError(
@@ -103,8 +98,6 @@ class Evaluator:
                 raise ValueError(f"main-effect table size mismatch at variable {i}")
             if table[0] != 0.0:
                 raise ValueError(f"main effect of control value must be 0 (variable {i})")
-        if self.mode == LINEAR and self.interactions:
-            raise ValueError("linear mode cannot carry interaction weights")
         for j, k in self.interactions:
             if not 0 <= j < k < len(cards):
                 raise ValueError(f"interaction key {(j, k)} is not a variable pair j < k")
@@ -184,7 +177,6 @@ def sample_evaluator(
         bias=mag.bias,
         main_effects=tuple(main),
         interactions=interactions,
-        mode=mode,
     )
 
 

@@ -59,7 +59,6 @@ class GenerationRecord:
     accumulated impressions and conversions (elites carry theirs forward),
     this generation's true conversion rates, and the elites bred from."""
 
-    index: int
     genomes: np.ndarray
     impressions: np.ndarray
     conversions: np.ndarray
@@ -419,14 +418,13 @@ class EvolutionResult:
     def records(self) -> tuple[GenerationRecord, ...]:
         return tuple(
             GenerationRecord(
-                g,
                 np.transpose(np.unravel_index(ids, self.space.cardinalities)),
                 np.array(imps),
                 np.array(convs),
                 np.array(crs),
                 elites,
             )
-            for g, (ids, imps, convs, crs, elites) in enumerate(self.generations)
+            for ids, imps, convs, crs, elites in self.generations
         )
 
     @cached_property
@@ -441,22 +439,6 @@ class EvolutionResult:
         if index is None:
             return control(self.space)
         return Candidate(np.unravel_index(self.tested_ids[index], self.space.cardinalities))
-
-
-def tally(ids: list[int], impressions: list[int], conversions: list[int]):
-    """(distinct ids, summed impressions, summed conversions) as lists of
-    ints, one element per distinct id in order of first appearance in
-    `ids`."""
-    sums: dict[int, list[int]] = {}
-    for i, n, c in zip(ids, impressions, conversions):
-        total = sums.get(i)
-        if total is None:
-            sums[i] = [n, c]
-        else:
-            total[0] += n
-            total[1] += c
-    totals = list(sums.values())
-    return list(sums), [n for n, _ in totals], [c for _, c in totals]
 
 
 def run_evolution(
@@ -492,8 +474,9 @@ def run_evolution(
     landscape = evaluator.table.ravel()
     # The control, every variable at its first value, has flat id 0.
     ctrl_cr = float(landscape[0])
-    # Every slot's flat id and conversions drawn, generation by generation.
-    served_ids, served_conversions = [], []
+    # Flat id -> [impressions, conversions] summed over every slot that
+    # served it; a dict keeps its keys in first-tested order.
+    ledger: dict[int, list[int]] = {}
     ctrl_impressions = ctrl_conversions = 0
     generations = []
 
@@ -505,8 +488,13 @@ def run_evolution(
         *drawn, ctrl_drawn = simulate_conversions([*true_crs, ctrl_cr], [*slots, slots[0]], rng)
         ctrl_impressions += slots[0]
         ctrl_conversions += ctrl_drawn
-        served_ids += ids
-        served_conversions += drawn
+        for i, n, c in zip(ids, slots, drawn):
+            total = ledger.get(i)
+            if total is None:
+                ledger[i] = [n, c]
+            else:
+                total[0] += n
+                total[1] += c
         impressions = [n + s for n, s in zip(impressions, slots)]
         conversions = [c + d for c, d in zip(conversions, drawn)]
 
@@ -519,14 +507,12 @@ def run_evolution(
                 ids, impressions, conversions, elite_idx, config, space, rng
             )
 
-    tested_ids, tested_imp, tested_conv = tally(
-        served_ids, [n for slots in traffic_plan for n in slots], served_conversions
-    )
+    totals = list(ledger.values())
     return EvolutionResult(
         space=space,
-        tested_ids=tested_ids,
-        tested_impressions=tested_imp,
-        tested_conversions=tested_conv,
+        tested_ids=list(ledger),
+        tested_impressions=[n for n, _ in totals],
+        tested_conversions=[c for _, c in totals],
         control_impressions=ctrl_impressions,
         control_conversions=ctrl_conversions,
         generations=tuple(generations),

@@ -80,6 +80,11 @@ class ExperimentConfig:
             raise ValueError(
                 f"fixed_evaluator must be True or False, got {self.fixed_evaluator!r}"
             )
+        for key, kind in (("weights", WeightConfig), ("evolution", EvolutionConfig)):
+            if not isinstance(getattr(self, key), kind):
+                raise ValueError(
+                    f"{key} must be an instance of {kind.__name__}, got {getattr(self, key)!r}"
+                )
         if isinstance(self.space, (list, tuple)):
             object.__setattr__(self, "space", SearchSpace(self.space))
         if not isinstance(self.space, SearchSpace):
@@ -102,8 +107,6 @@ class ExperimentConfig:
             raise ValueError("traffic sweep must be strictly increasing")
         if self.curve not in CURVES:
             raise ValueError(f"unknown curve kind {self.curve!r}")
-        if self.mode not in (LINEAR, NONLINEAR):
-            raise ValueError(f"unknown mode {self.mode!r}; use {LINEAR} or {NONLINEAR}")
         check_landscape_size(self.space)
         check_weights(self.space, self.mode, self.weights)
         pop_size = sum(k - 1 for k in self.space.cardinalities)

@@ -59,7 +59,6 @@ def test_hand_summed_nonlinear_cr():
         bias=0.05,
         main_effects=((0.0, 0.02), (0.0, -0.01)),
         interactions={(0, 1): ((0.0, 0.0), (0.0, 0.005))},
-        mode=NONLINEAR,
     )
     assert ev.true_cr(Candidate([1, 1])) == pytest.approx(0.065)
     assert ev.true_cr(Candidate([0, 0])) == 0.05
@@ -71,17 +70,6 @@ def test_control_entry_pinning_enforced():
             space=SearchSpace([2, 2]),
             bias=0.05,
             main_effects=((0.1, 0.0), (0.0, 0.0)),
-        )
-
-
-def test_linear_mode_rejects_interactions():
-    with pytest.raises(ValueError):
-        Evaluator(
-            space=SearchSpace([2, 2]),
-            bias=0.05,
-            main_effects=((0.0, 0.0), (0.0, 0.0)),
-            interactions={(0, 1): ((0.0, 0.0), (0.0, 0.1))},
-            mode=LINEAR,
         )
 
 
@@ -104,6 +92,13 @@ def test_config_errors():
         sample_evaluator(space, LINEAR, WeightConfig(delta_main=0.0))
     with pytest.raises(EvaluatorConfigError):
         sample_evaluator(space, LINEAR, WeightConfig(delta_main=0.6))
+
+
+def test_sample_evaluator_rejects_unknown_mode():
+    with pytest.raises(ValueError) as info:
+        sample_evaluator(SearchSpace([2, 2]), "nonlinearr")
+    message = str(info.value)
+    assert "'nonlinearr'" in message and "\n" not in message, message
 
 
 def test_brute_force_flat_landscape_tie_break():
@@ -140,7 +135,6 @@ def test_brute_force_planted_ties_pick_lexicographically_smallest():
             (0, 2): ((0.0, 0.0), (0.0, 0.0), (0.0, 0.0)),
             (1, 2): ((0.0, 0.0), (0.0, 0.0), (0.0, 0.0)),
         },
-        mode=NONLINEAR,
     )
     best, cr = brute_force_best(ev)
     assert ev.true_cr(Candidate([2, 1, 0])) == cr
@@ -152,9 +146,8 @@ def definitional_cr(ev, choices):
     cr = ev.bias
     for i, v in enumerate(choices):
         cr += ev.main_effects[i][v]
-    if ev.mode == NONLINEAR:
-        for (j, k), table in ev.interactions.items():
-            cr += table[choices[j]][choices[k]]
+    for (j, k), table in ev.interactions.items():  # none on a linear landscape
+        cr += table[choices[j]][choices[k]]
     return min(max(cr, CR_FLOOR), CR_CEIL)
 
 
@@ -184,7 +177,7 @@ def test_true_crs_rejects_rows_outside_the_space():
 
 def test_interaction_keys_and_shapes_are_checked():
     kwargs = dict(space=SearchSpace([2, 3]), bias=0.05,
-                  main_effects=((0.0, 0.0), (0.0, 0.0, 0.0)), mode=NONLINEAR)
+                  main_effects=((0.0, 0.0), (0.0, 0.0, 0.0)))
     with pytest.raises(ValueError):  # pair not in variable order
         Evaluator(interactions={(1, 0): ((0.0, 0.0),) * 3}, **kwargs)
     with pytest.raises(ValueError):  # transposed table

@@ -22,7 +22,6 @@ from mvtlab.evolution import (
     parent_pair,
     run_evolution,
     select_elites,
-    tally,
     undominated,
 )
 from mvtlab.genome import Candidate, SearchSpace
@@ -34,6 +33,7 @@ from mvtlab.simstats import (
     global_prior,
     posterior,
     prob_beats_control,
+    simulate_conversions,
 )
 
 
@@ -649,23 +649,32 @@ def test_bound_rules_drop_front_genomes(cell, integrated):
     assert sizes == [integrated]
 
 
-@given(
-    st.lists(
-        st.tuples(st.integers(0, 9), st.integers(0, 10**6), st.integers(0, 10**6)),
-        max_size=40,
-    )
-)
-def test_tally_equals_dict_reference(stream):
+def test_ledger_sums_every_generations_draws(monkeypatch):
+    # In a crowded space genomes repeat across generations, so the run's
+    # ledger adds to existing entries as well as creating new ones.
+    draws = []
+
+    def spy(rates, impressions, rng):
+        drawn = simulate_conversions(rates, impressions, rng)
+        draws.append(drawn)
+        return drawn
+
+    monkeypatch.setattr(evolution, "simulate_conversions", spy)
+    plan = allocate_evolution(50_003, 8, 8)  # uneven slots
+    _, result = run_once(SearchSpace([3, 6, 2]), 3, total=50_003)
     # A dict keeps keys in first-insertion order, the first-tested order.
     reference: dict[int, list[int]] = {}
-    for genome, n, c in stream:
-        sums = reference.setdefault(genome, [0, 0])
-        sums[0] += n
-        sums[1] += c
-    ids, imp, conv = ([row[k] for row in stream] for k in range(3))
-    got = tally(ids, imp, conv)
+    for (ids, *_), slots, drawn in zip(result.generations, plan, draws, strict=True):
+        # The last draw is the control's.
+        for i, n, c in zip(ids, slots, drawn[:-1], strict=True):
+            sums = reference.setdefault(i, [0, 0])
+            sums[0] += n
+            sums[1] += c
+    assert len(reference) < sum(map(len, plan))
+    got = (result.tested_ids, result.tested_impressions, result.tested_conversions)
     assert all(type(x) is list and all(type(v) is int for v in x) for x in got)
-    got_ids, got_imp, got_conv = got
-    assert got_ids == list(reference)
-    assert got_imp == [n for n, _ in reference.values()]
-    assert got_conv == [c for _, c in reference.values()]
+    assert got == (
+        list(reference),
+        [n for n, _ in reference.values()],
+        [c for _, c in reference.values()],
+    )

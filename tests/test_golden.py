@@ -8,6 +8,11 @@ checkout (or `python -m mvtlab.cli run <preset> --out DIR` after
 `python scripts/golden_diff.py DIR` (rows moved, methods moved, max
 |delta mean| per preset; it exits 0 only when no golden moved), copy
 DIR/<preset>.csv into tests/golden/, and explain the diff in CHANGES.md.
+
+tests/golden/cli/ holds the CSV and SVG that `mvtlab run` writes for three
+non-default command lines (CLI_RUNS); it sits outside golden_diff.py's
+`*.csv` glob, so that script compares the default presets only. Manifests
+are not kept: they record package versions.
 """
 
 import importlib.util
@@ -16,6 +21,7 @@ from pathlib import Path
 
 import pytest
 
+from mvtlab.cli import main as cli_main
 from mvtlab.harness import PRESETS, emit_csv, result_series, sweep
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -38,6 +44,23 @@ def test_preset_matches_golden_csv(preset, request, tmp_path):
     path = tmp_path / f"{preset}.csv"
     emit_csv(series, path)
     assert path.read_bytes() == (GOLDEN / f"{preset}.csv").read_bytes()
+
+
+# Command lines whose outputs are kept in tests/golden/cli/: a 41-rep sweep of
+# the smallest space, one shared landscape, and the low-rate preset.
+CLI_RUNS = [
+    ["setting1-linear", "--reps", "41", "--seed", "5"],
+    ["mixed-nonlinear", "--fixed-evaluator", "--reps", "4"],
+    ["mixed-lowcr", "--reps", "5", "--seed", "9"],
+]
+
+
+@pytest.mark.parametrize("args", CLI_RUNS, ids=[" ".join(a) for a in CLI_RUNS])
+def test_cli_run_matches_golden_files(args, tmp_path):
+    assert cli_main(["run", *args, "--out", str(tmp_path)]) == 0
+    for suffix in (".csv", ".svg"):
+        name = args[0] + suffix
+        assert (tmp_path / name).read_bytes() == (GOLDEN / "cli" / name).read_bytes(), name
 
 
 def load_golden_diff():

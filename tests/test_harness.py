@@ -116,6 +116,8 @@ BAD_SETTINGS = [
     (setting1, {"master_seed": 1.7}, "seed"),
     (setting1, {"name": 7}, "name"),
     (setting1, {"space": 5}, "space"),
+    (setting1, {"weights": {"bias": 0.1}}, "weights"),
+    (setting1, {"evolution": None}, "evolution"),
     (EvolutionConfig, {"generations": 2.5}, "generations"),
     (WeightConfig, {"delta_main": math.nan}, "delta_main"),
     (WeightConfig, {"bias": math.inf}, "bias"),
