@@ -53,8 +53,11 @@ def check_landscape_size(space: SearchSpace) -> None:
 
 
 def check_weights(space: SearchSpace, mode: str, weights: WeightConfig) -> None:
-    """Reject an unknown mode, and weight magnitudes that cannot produce a
-    sane landscape over `space` in `mode`."""
+    """Reject weights that are not a WeightConfig, an unknown mode, and
+    weight magnitudes that cannot produce a sane landscape over `space` in
+    `mode`."""
+    if not isinstance(weights, WeightConfig):
+        raise ValueError(f"weights must be an instance of WeightConfig, got {weights!r}")
     if mode not in (LINEAR, NONLINEAR):
         raise ValueError(f"unknown mode {mode!r}; use {LINEAR} or {NONLINEAR}")
     if not 0.0 < weights.bias < 1.0:
@@ -151,7 +154,7 @@ def sample_evaluator(
     """Draw a random landscape: non-control main-effect entries uniform in
     [-delta_main, +delta_main], non-control pair entries (nonlinear mode)
     uniform in [-delta_pair, +delta_pair]. Deterministic given the seed."""
-    mag = magnitudes or WeightConfig()
+    mag = WeightConfig() if magnitudes is None else magnitudes
     check_weights(space, mode, mag)
     n = len(space)
 

@@ -384,30 +384,18 @@ def beat_control_winner(
 @dataclass(frozen=True)
 class EvolutionResult:
     """One run's evidence. `tested_ids`: the flat ids of the distinct
-    genomes served, in first-tested order, with count lists aligned to it;
-    the control's own share is counted apart. `generations` logs each
-    generation as (flat ids, impressions, conversions, true CRs, elite
-    indices), the counts and rates as lists. The genome rows and the
-    records are built from these on first access; beat_control_winner picks
-    the winner from `evidence`."""
+    genomes served, in first-tested order. `evidence`: this run's cell of
+    beat_control_winner's argument, (impressions, conversions,
+    ctrl_impressions, ctrl_conversions), the first two lists aligned to
+    `tested_ids`; the control's own share is counted apart. `generations`
+    logs each generation as (flat ids, impressions, conversions, true CRs,
+    elite indices), the counts and rates as lists. The genome rows and the
+    records are built from these on first access."""
 
     space: SearchSpace
     tested_ids: list[int]
-    tested_impressions: list[int]
-    tested_conversions: list[int]
-    control_impressions: int
-    control_conversions: int
+    evidence: tuple[list[int], list[int], int, int]
     generations: tuple
-
-    @property
-    def evidence(self) -> tuple:
-        """This run's cell of beat_control_winner's argument."""
-        return (
-            self.tested_impressions,
-            self.tested_conversions,
-            self.control_impressions,
-            self.control_conversions,
-        )
 
     @property
     def true_crs(self) -> list[list[float]]:
@@ -511,9 +499,8 @@ def run_evolution(
     return EvolutionResult(
         space=space,
         tested_ids=list(ledger),
-        tested_impressions=[n for n, _ in totals],
-        tested_conversions=[c for _, c in totals],
-        control_impressions=ctrl_impressions,
-        control_conversions=ctrl_conversions,
+        evidence=(
+            [n for n, _ in totals], [c for _, c in totals], ctrl_impressions, ctrl_conversions
+        ),
         generations=tuple(generations),
     )

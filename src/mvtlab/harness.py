@@ -7,7 +7,7 @@ import ast
 import hashlib
 import json
 import platform
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from functools import cached_property
 from itertools import chain
 from pathlib import Path
@@ -25,7 +25,13 @@ from .evaluator import (
     check_weights,
     sample_evaluator,
 )
-from .evolution import EvolutionConfig, EvolutionResult, beat_control_winner, run_evolution
+from .evolution import (
+    EvolutionConfig,
+    EvolutionResult,
+    beat_control_winner,
+    init_population,
+    run_evolution,
+)
 from .genome import SearchSpace, _index
 from .simstats import aggregate_runs, allocate_evolution, allocate_taguchi, simulate_conversions
 from .taguchi import (
@@ -80,11 +86,10 @@ class ExperimentConfig:
             raise ValueError(
                 f"fixed_evaluator must be True or False, got {self.fixed_evaluator!r}"
             )
-        for key, kind in (("weights", WeightConfig), ("evolution", EvolutionConfig)):
-            if not isinstance(getattr(self, key), kind):
-                raise ValueError(
-                    f"{key} must be an instance of {kind.__name__}, got {getattr(self, key)!r}"
-                )
+        if not isinstance(self.evolution, EvolutionConfig):
+            raise ValueError(
+                f"evolution must be an instance of EvolutionConfig, got {self.evolution!r}"
+            )
         if isinstance(self.space, (list, tuple)):
             object.__setattr__(self, "space", SearchSpace(self.space))
         if not isinstance(self.space, SearchSpace):
@@ -109,7 +114,7 @@ class ExperimentConfig:
             raise ValueError(f"unknown curve kind {self.curve!r}")
         check_landscape_size(self.space)
         check_weights(self.space, self.mode, self.weights)
-        pop_size = sum(k - 1 for k in self.space.cardinalities)
+        pop_size = len(init_population(self.space))
         need = self.evolution.generations * pop_size
         if self.traffic[0] < need:
             raise ValueError(
@@ -145,55 +150,39 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class ResultSeries:
+    """One curve: per method, in CSV order, a (mean, lo, hi) per traffic
+    value; lo and hi are the 2.5th and 97.5th percentiles, which need not
+    bracket the mean."""
+
     traffic: tuple[int, ...]
-    methods: tuple[str, ...]
-    # method -> (mean, lo, hi) per traffic value; lo and hi are the 2.5th and
-    # 97.5th percentiles, which need not bracket the mean
     points: dict
 
 
+_MIXED_LINEAR = ExperimentConfig(
+    name="mixed-linear", space=SearchSpace([3, 6, 2, 3, 6, 2, 2, 6]), array="oa36_mixed"
+)
 PRESETS: dict[str, ExperimentConfig] = {
-    "setting1-linear": ExperimentConfig(
-        name="setting1-linear", space=SearchSpace([2, 2, 2]), array="oa4_2x3"
-    ),
-    "setting2-linear": ExperimentConfig(
-        name="setting2-linear", space=SearchSpace([3, 3, 3, 3]), array="oa9_3x4"
-    ),
-    "setting3-linear": ExperimentConfig(
-        name="setting3-linear", space=SearchSpace([4, 4, 4, 4, 4]), array="oa16_4x5"
-    ),
-    "mixed-linear": ExperimentConfig(
-        name="mixed-linear",
-        space=SearchSpace([3, 6, 2, 3, 6, 2, 2, 6]),
-        array="oa36_mixed",
-    ),
-    "mixed-nonlinear": ExperimentConfig(
-        name="mixed-nonlinear",
-        space=SearchSpace([3, 6, 2, 3, 6, 2, 2, 6]),
-        array="oa36_mixed",
-        mode=NONLINEAR,
-    ),
-    "during-experiment": ExperimentConfig(
-        name="during-experiment",
-        space=SearchSpace([3, 6, 2, 3, 6, 2, 2, 6]),
-        array="oa36_mixed",
-        curve="during",
-    ),
-    "mixed-lowcr": ExperimentConfig(
-        name="mixed-lowcr",
-        space=SearchSpace([3, 6, 2, 3, 6, 2, 2, 6]),
-        array="oa36_mixed",
-        weights=WeightConfig(bias=0.002, delta_main=0.0002),
-    ),
+    config.name: config
+    for config in (
+        ExperimentConfig(name="setting1-linear", space=SearchSpace([2, 2, 2]), array="oa4_2x3"),
+        ExperimentConfig(name="setting2-linear", space=SearchSpace([3, 3, 3, 3]), array="oa9_3x4"),
+        ExperimentConfig(
+            name="setting3-linear", space=SearchSpace([4, 4, 4, 4, 4]), array="oa16_4x5"
+        ),
+        _MIXED_LINEAR,
+        replace(_MIXED_LINEAR, name="mixed-nonlinear", mode=NONLINEAR),
+        replace(_MIXED_LINEAR, name="during-experiment", curve="during"),
+        replace(
+            _MIXED_LINEAR,
+            name="mixed-lowcr",
+            weights=WeightConfig(bias=0.002, delta_main=0.0002),
+        ),
+    )
 }
 
 
-def _derived_seed(*parts: int) -> np.random.SeedSequence:
-    return np.random.SeedSequence(list(parts))
-
-
 def _evaluator_for(config: ExperimentConfig, rep: int) -> Evaluator:
-    seed = int(_derived_seed(config.master_seed, 101, rep).generate_state(1)[0])
+    seed = int(np.random.SeedSequence([config.master_seed, 101, rep]).generate_state(1)[0])
     return sample_evaluator(config.space, config.mode, config.weights, seed)
 
 
@@ -250,8 +239,9 @@ def _served_average(impressions, crs, total_traffic: int) -> float:
 
 def sweep(config: ExperimentConfig) -> dict[str, np.ndarray]:
     """Every cell of the experiment: measurement name -> float64 array of
-    shape (repetitions, traffic levels). Both arms of a cell share the
-    evaluator and total traffic.
+    shape (repetitions, traffic levels). A cell's measurements are the keys
+    its two arms return, plus the evolution winner's true conversion rate
+    `winner_cr`; both arms of a cell share the evaluator and total traffic.
 
     Repetitions run outermost, so each repetition's landscape is built once
     and serves every traffic level; every cell still has its own seeds. A
@@ -261,50 +251,44 @@ def sweep(config: ExperimentConfig) -> dict[str, np.ndarray]:
     plan is built once, as tuples that no cell can change, and the array
     rows' true conversion rates are read once per landscape."""
     array = config.load_design()
-    pop_size = sum(k - 1 for k in config.space.cardinalities)
+    pop_size = len(init_population(config.space))
     plans = [
         tuple(map(tuple, allocate_evolution(total, config.evolution.generations, pop_size)))
         for total in config.traffic
     ]
-    shape = (config.repetitions, len(config.traffic))
-    cells = {name: np.empty(shape) for curve in CURVES.values() for name in curve.values()}
+    table = []  # per repetition, its cells in traffic order
     evaluator = None
     for rep in range(config.repetitions):
         if evaluator is None or not config.fixed_evaluator:
             evaluator = _evaluator_for(config, rep)
             row_crs = evaluator.true_crs(array.rows).tolist()
-        results = []
+        cells, results = [], []
         for t_idx, total in enumerate(config.traffic):
-            tag_rng = np.random.Generator(
-                np.random.PCG64(_derived_seed(config.master_seed, 202, t_idx, rep))
-            )
-            evo_rng = np.random.Generator(
-                np.random.PCG64(_derived_seed(config.master_seed, 303, t_idx, rep))
-            )
-            measured = run_taguchi_arm(array, evaluator, total, tag_rng, row_crs)
-            result, measured["evolution_served"] = run_evolution_arm(
+            tag_rng = np.random.default_rng([config.master_seed, 202, t_idx, rep])
+            evo_rng = np.random.default_rng([config.master_seed, 303, t_idx, rep])
+            cell = run_taguchi_arm(array, evaluator, total, tag_rng, row_crs)
+            result, cell["evolution_served"] = run_evolution_arm(
                 config, evaluator, plans[t_idx], evo_rng
             )
+            cells.append(cell)
             results.append(result)
-            for name, value in measured.items():
-                cells[name][rep, t_idx] = value
         winners = beat_control_winner([result.evidence for result in results])
-        for t_idx, (result, (best, _)) in enumerate(zip(results, winners)):
-            cells["winner_cr"][rep, t_idx] = evaluator.true_cr(result.candidate(best))
-    return cells
+        for cell, result, (best, _) in zip(cells, results, winners):
+            cell["winner_cr"] = evaluator.true_cr(result.candidate(best))
+        table.append(cells)
+    # Each measurement's cells, stacked as (repetitions, traffic levels).
+    return {name: np.array([[c[name] for c in row] for row in table]) for name in table[0][0]}
 
 
 def result_series(config: ExperimentConfig, cells: dict[str, np.ndarray]) -> ResultSeries:
     """The curve `config.curve` names, read from `sweep(config)`: per method
     and traffic level, the mean and percentile band over repetitions, taken
     in repetition order."""
-    methods = CURVES[config.curve]
     return ResultSeries(
         traffic=tuple(config.traffic),
-        methods=tuple(methods),
         points={
             method: aggregate_runs(cells[name])
-            for method, name in methods.items()
+            for method, name in CURVES[config.curve].items()
         },
     )
 
@@ -312,8 +296,8 @@ def result_series(config: ExperimentConfig, cells: dict[str, np.ndarray]) -> Res
 def emit_csv(series: ResultSeries, path) -> None:
     lines = ["traffic,method,mean,lo,hi"]
     for i, traffic in enumerate(series.traffic):
-        for method in series.methods:
-            mean, lo, hi = series.points[method][i]
+        for method, points in series.points.items():
+            mean, lo, hi = points[i]
             lines.append(f"{traffic},{method},{mean:.12g},{lo:.12g},{hi:.12g}")
     Path(path).write_text("\n".join(lines) + "\n")
 
@@ -336,7 +320,7 @@ def emit_svg(series: ResultSeries, path, title: str = "") -> None:
     width, height = 720, 480
     ml, mr, mt, mb = 70, 20, 40, 50
     xs = [np.log10(t) for t in series.traffic]
-    ys = [v for m in series.methods for p in series.points[m] for v in p]
+    ys = [v for points in series.points.values() for p in points for v in p]
     y_lo, y_hi = min(ys), max(ys)
     if y_hi - y_lo < 1e-9:
         y_lo, y_hi = y_lo - 0.001, y_hi + 0.001
@@ -379,9 +363,8 @@ def emit_svg(series: ResultSeries, path, title: str = "") -> None:
         f'<text x="{width / 2:.1f}" y="{height - 12}" text-anchor="middle" '
         'font-size="12">total traffic (log scale)</text>'
     )
-    for m_idx, method in enumerate(series.methods):
+    for m_idx, (method, pts) in enumerate(series.points.items()):
         color = _SVG_COLORS[m_idx % len(_SVG_COLORS)]
-        pts = series.points[method]
         band = [(px(x), py(p[1])) for x, p in zip(xs, pts)]
         band += [(px(x), py(p[2])) for x, p in reversed(list(zip(xs, pts)))]
         band_str = " ".join(f"{a:.1f},{b:.1f}" for a, b in band)
@@ -437,27 +420,24 @@ def run_experiment(config: ExperimentConfig) -> dict:
     return {"csv": csv_path, "svg": svg_path, "manifest": manifest_path, "series": series}
 
 
+# ExperimentConfig's sub-config fields -> their dataclasses.
+_SUB_CONFIGS = {
+    f.name: f.default_factory for f in fields(ExperimentConfig) if is_dataclass(f.default_factory)
+}
 # Config key -> (sub-config holding the field, or None for a field of
-# ExperimentConfig; field name). Config files and the command line's
-# overrides both go through this table; the defaults and the checks are the
-# dataclasses'.
+# ExperimentConfig; field name). A key is its field's name, a sub-config's
+# fields taken flat, except for the renames below. Config files and the
+# command line's overrides both go through this table; the defaults and the
+# checks are the dataclasses'.
+_RENAMED = {"master_seed": "seed", "out_dir": "out"}
 _CONFIG_KEYS = {
-    "name": (None, "name"),
-    "space": (None, "space"),
-    "mode": (None, "mode"),
-    "bias": ("weights", "bias"),
-    "delta_main": ("weights", "delta_main"),
-    "delta_pair": ("weights", "delta_pair"),
-    "array": (None, "array"),
-    "generations": ("evolution", "generations"),
-    "mutation_rate": ("evolution", "mutation_rate"),
-    "elite_fraction": ("evolution", "elite_fraction"),
-    "traffic": (None, "traffic"),
-    "repetitions": (None, "repetitions"),
-    "seed": (None, "master_seed"),
-    "fixed_evaluator": (None, "fixed_evaluator"),
-    "curve": (None, "curve"),
-    "out": (None, "out_dir"),
+    key: target
+    for f in fields(ExperimentConfig)
+    for key, target in (
+        [(sub.name, (f.name, sub.name)) for sub in fields(_SUB_CONFIGS[f.name])]
+        if f.name in _SUB_CONFIGS
+        else [(_RENAMED.get(f.name, f.name), (None, f.name))]
+    )
 }
 
 
@@ -465,25 +445,18 @@ def configure(values: dict, base: ExperimentConfig | None = None) -> ExperimentC
     """The config that `values` (config keys to values) make of `base`, or
     of the dataclass defaults when there is no base; ValueError for a value
     of the wrong type or an invalid setting."""
-    fields: dict = {}
-    nested: dict = {"weights": {}, "evolution": {}}
+    top: dict = {}
+    nested: dict = {group: {} for group in _SUB_CONFIGS}
     for key, value in values.items():
         group, name = _CONFIG_KEYS[key]
-        (nested[group] if group else fields)[name] = value
+        (nested[group] if group else top)[name] = value
     if base is None:
-        if "space" not in fields:
+        if "space" not in top:
             raise ValueError("config must define a space")
-        return ExperimentConfig(
-            weights=WeightConfig(**nested["weights"]),
-            evolution=EvolutionConfig(**nested["evolution"]),
-            **fields,
-        )
-    return replace(
-        base,
-        weights=replace(base.weights, **nested["weights"]),
-        evolution=replace(base.evolution, **nested["evolution"]),
-        **fields,
-    )
+        subs = {group: _SUB_CONFIGS[group](**kwargs) for group, kwargs in nested.items()}
+        return ExperimentConfig(**subs, **top)
+    subs = {group: replace(getattr(base, group), **kwargs) for group, kwargs in nested.items()}
+    return replace(base, **subs, **top)
 
 
 def parse_config(text: str, name: str = "custom", overrides=None) -> ExperimentConfig:

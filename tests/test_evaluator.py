@@ -101,6 +101,16 @@ def test_sample_evaluator_rejects_unknown_mode():
     assert "'nonlinearr'" in message and "\n" not in message, message
 
 
+@pytest.mark.parametrize("magnitudes", [{"bias": 0.1}, {}, (0.05, 0.01, 0.005)])
+def test_sample_evaluator_rejects_non_weight_config(magnitudes):
+    # Only None means the default weights; anything else must be a WeightConfig.
+    with pytest.raises(ValueError) as info:
+        sample_evaluator(SearchSpace([2, 2]), LINEAR, magnitudes)
+    message = str(info.value)
+    assert message.startswith("weights must be an instance of WeightConfig"), message
+    assert "\n" not in message
+
+
 def test_brute_force_flat_landscape_tie_break():
     ev = Evaluator(
         space=SearchSpace([3, 3]),

@@ -444,17 +444,17 @@ def test_run_evolution_tested_totals_match_plan(monkeypatch):
     served = {tuple(g) for r in result.records for g in r.genomes.tolist()}
     assert len(result.tested) == len(served)
     assert {tuple(g) for g in result.tested.tolist()} == served
-    assert sum(result.tested_impressions) == 50_000
-    assert all(c <= n for n, c in zip(result.tested_impressions, result.tested_conversions))
+    imp, conv, ctrl_imp, ctrl_conv = result.evidence
+    assert len(imp) == len(conv) == len(result.tested_ids)
+    assert sum(imp) == 50_000
+    assert all(c <= n for n, c in zip(imp, conv))
     tested = {tuple(g): i for i, g in enumerate(result.tested.tolist())}
     last = result.records[-1]
     for genome, n, c in zip(last.genomes.tolist(), last.impressions, last.conversions):
         i = tested[tuple(genome)]
-        assert result.tested_impressions[i] >= n and result.tested_conversions[i] >= c
-    # The run picks no winner; its evidence is the run's own count lists.
+        assert imp[i] >= n and conv[i] >= c
+    # The run picks no winner; it returns the evidence the winner choice reads.
     assert not calls
-    imp, conv, ctrl_imp, ctrl_conv = result.evidence
-    assert imp is result.tested_impressions and conv is result.tested_conversions
     assert ctrl_imp == sum(slots[0] for slots in plan)
     assert 0 <= ctrl_conv <= ctrl_imp
 
@@ -671,7 +671,7 @@ def test_ledger_sums_every_generations_draws(monkeypatch):
             sums[0] += n
             sums[1] += c
     assert len(reference) < sum(map(len, plan))
-    got = (result.tested_ids, result.tested_impressions, result.tested_conversions)
+    got = (result.tested_ids, *result.evidence[:2])
     assert all(type(x) is list and all(type(v) is int for v in x) for x in got)
     assert got == (
         list(reference),

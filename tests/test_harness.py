@@ -213,7 +213,7 @@ def test_sweep_is_one_table_for_every_curve():
     # Each curve aggregates its methods' columns, repetitions in order.
     for curve, methods in CURVES.items():
         series = result_series(replace(config, curve=curve), cells)
-        assert series.methods == tuple(methods)
+        assert list(series.points) == list(methods)
         for method, name in methods.items():
             assert series.points[method] == aggregate_runs(cells[name])
 
@@ -221,17 +221,17 @@ def test_sweep_is_one_table_for_every_curve():
 def test_comparison_series_shape():
     series = smoke_series("setting1-linear")
     assert series.traffic == (2_000, 20_000)
-    assert set(series.methods) == {"evolution", "taguchi-predict", "taguchi-candidate"}
-    for method in series.methods:
-        assert len(series.points[method]) == 2
-        for mean, lo, hi in series.points[method]:
+    assert set(series.points) == {"evolution", "taguchi-predict", "taguchi-candidate"}
+    for points in series.points.values():
+        assert len(points) == 2
+        for mean, lo, hi in points:
             assert lo <= mean + 1e-12
             assert mean <= hi + 1e-12
 
 
 def test_during_series_shape():
     series = smoke_series("during-experiment")
-    assert set(series.methods) == {"evolution", "taguchi"}
+    assert set(series.points) == {"evolution", "taguchi"}
 
 
 def test_mean_outside_percentile_band_is_written(tmp_path):
@@ -280,7 +280,6 @@ def test_emit_svg_escapes_markup(tmp_path, monkeypatch):
     methods = ("a&b", "<c>", "d\"'&amp;")
     series = ResultSeries(
         traffic=(1000, 10000),
-        methods=methods,
         points={m: [(0.01, 0.005, 0.02), (0.02, 0.01, 0.03)] for m in methods},
     )
     title = "T & <x> \"q\""
@@ -296,7 +295,7 @@ def test_emit_svg_escapes_markup(tmp_path, monkeypatch):
 
 
 def test_emit_svg_rejects_empty_series(tmp_path):
-    empty = ResultSeries(traffic=(), methods=(), points={})
+    empty = ResultSeries(traffic=(), points={})
     with pytest.raises(ValueError):
         emit_svg(empty, tmp_path / "never.svg")
     assert not (tmp_path / "never.svg").exists()
@@ -501,6 +500,79 @@ def test_parse_config_errors():
         parse_config("space = [2,2]\nseed = 1\nseed = 2")
     with pytest.raises(ValueError, match="^line 2: key 'space' already set on line 1$"):
         parse_config("space = [2,2]\nspace = [2,2]")
+
+
+def test_every_config_key_reaches_its_field():
+    # One file sets every key to a value no default has; each lands in the
+    # field of its name, the sub-configs' keys in their sub-config, except
+    # seed and out. The field names those two rename, and the sub-configs
+    # themselves, are no keys.
+    text = """
+    name = every-key
+    space = [3, 3, 3, 3]
+    mode = nonlinear
+    bias = 0.04
+    delta_main = 0.009
+    delta_pair = 0.004
+    array = oa9_3x4
+    generations = 3
+    mutation_rate = 0.02
+    elite_fraction = 0.3
+    traffic = [5000, 50000]
+    repetitions = 4
+    seed = 7
+    fixed_evaluator = True
+    curve = during
+    out = elsewhere
+    """
+
+    def landed(config):
+        return {
+            "name": config.name,
+            "space": config.space,
+            "mode": config.mode,
+            "bias": config.weights.bias,
+            "delta_main": config.weights.delta_main,
+            "delta_pair": config.weights.delta_pair,
+            "array": config.array,
+            "generations": config.evolution.generations,
+            "mutation_rate": config.evolution.mutation_rate,
+            "elite_fraction": config.evolution.elite_fraction,
+            "traffic": config.traffic,
+            "repetitions": config.repetitions,
+            "seed": config.master_seed,
+            "fixed_evaluator": config.fixed_evaluator,
+            "curve": config.curve,
+            "out": config.out_dir,
+        }
+
+    config = parse_config(text)
+    assert landed(config) == {
+        "name": "every-key",
+        "space": SearchSpace([3, 3, 3, 3]),
+        "mode": "nonlinear",
+        "bias": 0.04,
+        "delta_main": 0.009,
+        "delta_pair": 0.004,
+        "array": "oa9_3x4",
+        "generations": 3,
+        "mutation_rate": 0.02,
+        "elite_fraction": 0.3,
+        "traffic": (5000, 50000),
+        "repetitions": 4,
+        "seed": 7,
+        "fixed_evaluator": True,
+        "curve": "during",
+        "out": "elsewhere",
+    }
+    assert set(landed(config)) == set(harness._CONFIG_KEYS)
+    defaults = landed(ExperimentConfig(name="custom", space=config.space))
+    assert [key for key, value in landed(config).items() if value == defaults[key]] == ["space"]
+    # The same keys over a preset, as the command line's overrides go.
+    assert harness.configure(landed(config), PRESETS["setting1-linear"]) == config
+    for key in ("master_seed", "out_dir", "weights", "evolution"):
+        with pytest.raises(ValueError, match=f"^line 2: unknown key '{key}'$"):
+            parse_config(f"space = [2,2]\n{key} = 1")
 
 
 def test_config_digest_covers_every_field_but_out_dir():
