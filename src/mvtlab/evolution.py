@@ -287,6 +287,10 @@ def undominated(conversions: list[int], failures: list[int]) -> list[int]:
     return sorted(front)
 
 
+# The rounded key of a PBC of 1, which no PBC exceeds.
+_TOP_KEY = round(1.0 / PBC_TOL)
+
+
 def beat_control_winner(
     cells: list[tuple[list[int], list[int], int, int]],
 ) -> list[tuple[int | None, float]]:
@@ -315,24 +319,34 @@ def beat_control_winner(
       posterior mean is below the highest such genome's mean is dropped.
       Equal means are kept, since the earlier index wins a full tie.
 
+    The kept genomes are integrated in two rounds, each one
+    prob_beats_control call over every cell's pairs, each pair against its
+    own cell's control, and no call for an empty round. Round 1 integrates
+    each cell's leading kept genome: highest hi, then highest mean, the
+    earlier on a tie. Its computed PBC p then prunes the rest of the cell
+    by the same two rules: the floor becomes the larger of F and p, and
+    when p rounds to the top key, a genome with a lower mean than the
+    leader's is dropped. Round 2 integrates the survivors.
+
     Why the keys hold: a computed PBC is within e of the true one. The
-    quadrature's budget is PBC_TOL / 10 (the 64/96-node agreement plus the
-    window tails' error bound, or the split pass's shares per pair); on top
-    come up to 1.5e-8 from scipy's betaln at shapes near 3e6 and 1.6e-18
-    from skipped nodes. The rules need only e < 4e-7, and the bounds' own
-    rounding is far inside the margins. Floor: a dropped genome's computed
-    PBC is below F - 2 PBC_TOL + e, while the genome or control holding F
-    computes at least F - e, more than PBC_TOL higher, so its rounded key is
+    quadrature's budget is PBC_TOL / 10 (the Kronrod and Gauss values'
+    disagreement plus the window tails' error bound, or the split pass's
+    shares per pair); on top come up to 1.5e-8 from scipy's betaln at
+    shapes near 3e6 and 7.1e-19 per window or piece from skipped nodes.
+    The rules need only e < 4e-7, and the bounds' own rounding is far
+    inside the margins.
+    Floor: a dropped genome's computed PBC is below F - 2 PBC_TOL + e, while
+    the genome or control holding F computes at least F - e (the leader
+    computes p itself), more than PBC_TOL higher, so its rounded key is
     higher.
     Certified: a computed PBC of at least 1 - PBC_TOL / 10 - e lies above
     1 - PBC_TOL / 2 and rounds to the top key, which no PBC (clipped to 1)
-    exceeds, so the higher mean wins. A genome that beats every other is
-    never dropped, and the remaining genomes keep their tested order.
-
-    The kept genomes of every cell go to one prob_beats_control call, each
-    against its own cell's control, and a pair's PBC does not depend on the
-    rest of its batch, so each cell's winner and its PBC are those of the
-    full computation for that cell alone.
+    exceeds, so the higher mean wins; a leader's p that rounds to the top
+    key wins against a lower mean with no error term. A genome that beats
+    every other is never dropped, and the remaining genomes keep their
+    tested order. A pair's PBC does not depend on the rest of its batch,
+    so each cell's winner and its PBC are those of the full computation
+    for that cell alone.
     """
     fronts, ctrl_means, alphas, betas, ctrl_alphas, ctrl_betas = [], [], [], [], [], []
     for impressions, conversions, ctrl_impressions, ctrl_conversions in cells:
@@ -352,32 +366,45 @@ def beat_control_winner(
         ctrl_betas += [ctrl_post.beta] * len(front)
     means = [a / (a + b) for a, b in zip(alphas, betas)]
     lows, highs = (x.tolist() for x in pbc_bounds((alphas, betas), (ctrl_alphas, ctrl_betas)))
-    # Per cell, (front position, pair position) of the genomes that can win.
-    kept, start = [], 0
+    pbcs = {}  # pair position -> computed PBC
+
+    def integrate(batch):
+        if batch:
+            pairs = ([alphas[i] for i in batch], [betas[i] for i in batch])
+            controls = ([ctrl_alphas[i] for i in batch], [ctrl_betas[i] for i in batch])
+            pbcs.update(zip(batch, prob_beats_control(pairs, controls).tolist()))
+
+    # Per cell, the floor F and the pair positions of the genomes that can win.
+    floors, kept, start = [], [], 0
     for front in fronts:
-        pairs = list(enumerate(range(start, start + len(front))))
-        floor = max([0.5, *(lows[i] for _, i in pairs)]) - 2 * PBC_TOL
-        keep = [(f, i) for f, i in pairs if highs[i] >= floor]
-        certain = [means[i] for _, i in pairs if lows[i] >= 1.0 - PBC_TOL / 10]
+        pairs = range(start, start + len(front))
+        floors.append(max([0.5, *(lows[i] for i in pairs)]))
+        keep = [i for i in pairs if highs[i] >= floors[-1] - 2 * PBC_TOL]
+        certain = [means[i] for i in pairs if lows[i] >= 1.0 - PBC_TOL / 10]
         if certain:
             top = max(certain)
-            keep = [(f, i) for f, i in keep if means[i] >= top]
+            keep = [i for i in keep if means[i] >= top]
         kept.append(keep)
         start += len(front)
-    batch = [i for keep in kept for _, i in keep]
-    pbcs = prob_beats_control(
-        ([alphas[i] for i in batch], [betas[i] for i in batch]),
-        ([ctrl_alphas[i] for i in batch], [ctrl_betas[i] for i in batch]),
-    ).tolist()
-    winners, done = [], 0
+    leaders = [max(keep, key=lambda i: (highs[i], means[i])) if keep else None for keep in kept]
+    integrate([i for i in leaders if i is not None])
+    for c, lead in enumerate(leaders):
+        if lead is not None:
+            floor = max(floors[c], pbcs[lead]) - 2 * PBC_TOL
+            keep = [i for i in kept[c] if i == lead or highs[i] >= floor]
+            if round(pbcs[lead] / PBC_TOL) == _TOP_KEY:
+                keep = [i for i in keep if means[i] >= means[lead]]
+            kept[c] = keep
+    integrate([i for keep in kept for i in keep if i not in pbcs])
+    winners, start = [], 0
     for front, ctrl_mean, keep in zip(fronts, ctrl_means, kept):
-        cell_pbcs = [0.5, *pbcs[done : done + len(keep)]]
-        cell_means = [ctrl_mean, *(means[i] for _, i in keep)]
+        cell_pbcs = [0.5, *(pbcs[i] for i in keep)]
+        cell_means = [ctrl_mean, *(means[i] for i in keep)]
         best = max(
             range(len(cell_pbcs)), key=lambda i: (round(cell_pbcs[i] / PBC_TOL), cell_means[i])
         )
-        winners.append(((front[keep[best - 1][0]] if best else None), cell_pbcs[best]))
-        done += len(keep)
+        winners.append(((front[keep[best - 1] - start] if best else None), cell_pbcs[best]))
+        start += len(front)
     return winners
 
 

@@ -241,16 +241,19 @@ def sweep(config: ExperimentConfig) -> dict[str, np.ndarray]:
     """Every cell of the experiment: measurement name -> float64 array of
     shape (repetitions, traffic levels). A cell's measurements are the keys
     its two arms return, plus the evolution winner's true conversion rate
-    `winner_cr`; both arms of a cell share the evaluator and total traffic.
+    `winner_cr` when the config's curve reads it; both arms of a cell share
+    the evaluator and total traffic.
 
     Repetitions run outermost, so each repetition's landscape is built once
     and serves every traffic level; every cell still has its own seeds. A
     fixed evaluator is repetition 0's landscape, built once for the sweep.
     A repetition's evolution winners are picked together, in one
-    beat_control_winner call over its cells. Each traffic level's evolution
-    plan is built once, as tuples that no cell can change, and the array
-    rows' true conversion rates are read once per landscape."""
+    beat_control_winner call over its cells, and not at all for a curve
+    that does not read them. Each traffic level's evolution plan is built
+    once, as tuples that no cell can change, and the array rows' true
+    conversion rates are read once per landscape."""
     array = config.load_design()
+    picks_winner = "winner_cr" in CURVES[config.curve].values()
     pop_size = len(init_population(config.space))
     plans = [
         tuple(map(tuple, allocate_evolution(total, config.evolution.generations, pop_size)))
@@ -272,9 +275,10 @@ def sweep(config: ExperimentConfig) -> dict[str, np.ndarray]:
             )
             cells.append(cell)
             results.append(result)
-        winners = beat_control_winner([result.evidence for result in results])
-        for cell, result, (best, _) in zip(cells, results, winners):
-            cell["winner_cr"] = evaluator.true_cr(result.candidate(best))
+        if picks_winner:
+            winners = beat_control_winner([result.evidence for result in results])
+            for cell, result, (best, _) in zip(cells, results, winners):
+                cell["winner_cr"] = evaluator.true_cr(result.candidate(best))
         table.append(cells)
     # Each measurement's cells, stacked as (repetitions, traffic levels).
     return {name: np.array([[c[name] for c in row] for row in table]) for name in table[0][0]}

@@ -109,17 +109,50 @@ def posterior(prior: BetaPosterior, impressions, conversions):
 
 # Beat-control integrals are evaluated on a window of this many standard
 # deviations around the integrated density's mean; the mass outside it is
-# handled by closed-form tail terms.
-_WINDOW_SD = 16.0
-# Two fixed Gauss-Legendre rules, 64 and 96 nodes, evaluated in one pass
-# over their concatenated nodes; the rules' disagreement is the error check.
-_X64, _W64 = np.polynomial.legendre.leggauss(64)
-_X96, _W96 = np.polynomial.legendre.leggauss(96)
-_GL_NODES = np.concatenate([_X64, _X96])
-_GL_WEIGHTS = np.concatenate([_W64, _W96])
+# handled by closed-form tail terms. With G35/K71, 9 sends none of the
+# paper presets' pairs to the split pass, and 10 sends some (README). The
+# split pass starts its pieces at _SPLIT_SD, 4 _SPLIT_SD, ... standard
+# deviations below the mean.
+_WINDOW_SD = 9.0
+_SPLIT_SD = 16.0
+# G35/K71, nonnegative half (scripts/make_gauss_kronrod.py 35)
+_KRONROD_NODES = (
+    0.0, 0.044230407960476316, 0.08837134327565926, 0.13233927061341663,
+    0.17605106116598956, 0.219418258415018, 0.26235294120929603, 0.3047740014710504,
+    0.3466015544308139, 0.3877506960278423, 0.42813754151781425, 0.4676861834615296,
+    0.5063227732414887, 0.5439683516962581, 0.5805453447497645, 0.6159857104872218,
+    0.6502243646658904, 0.6831904184881565, 0.7148145015566287, 0.7450389756664068,
+    0.7738102522869126, 0.8010672131257057, 0.8267498990922254, 0.8508135446810916,
+    0.8732191250252224, 0.8939163058390494, 0.9128542613593176, 0.9300037530507062,
+    0.9453451482078273, 0.9588386969958431, 0.9704376160392298, 0.980131657851341,
+    0.9879357644438514, 0.9938202930389092, 0.9977065690996003, 0.9996192985605878,
+)
+_KRONROD_WEIGHTS = (
+    0.044245665721056225, 0.04420009752589897, 0.04406798346693599, 0.04385415492459731,
+    0.0435545454169731, 0.043165046120110594, 0.04269093484449389, 0.04213802289742381,
+    0.041502791141104965, 0.040781344758592936, 0.039979834860934885, 0.03910531516466664,
+    0.038154553938451796, 0.03712347803674948, 0.036019321064432515, 0.03485077628981658,
+    0.03361454962779494, 0.03230574967486033, 0.03093298569089254, 0.029507312940483806,
+    0.028024859270480325, 0.02647872983924452, 0.024879389864978962, 0.023241810895466637,
+    0.02156072900282074, 0.019824630731925683, 0.018046651129558704, 0.016249771999849793,
+    0.014426148625293634, 0.012552138631619428, 0.010644126760803646, 0.008748034767897012,
+    0.0068554872187842, 0.004898090890316147, 0.0028722600144707017, 0.001025509110746668,
+)
+_GAUSS_WEIGHTS = (
+    0.08848679490710429, 0.08814053043027546, 0.08710444699718353, 0.08538665339209912,
+    0.08300059372885658, 0.07996494224232427, 0.07630345715544205, 0.07204479477256007,
+    0.0672222852690869, 0.061873671966080186, 0.05604081621237013, 0.04976937040135353,
+    0.043108422326170216, 0.03611011586346338, 0.028829260108894254, 0.021322979911483582,
+    0.013650828348361493, 0.005883433420443085,
+)
+# The whole rule on [-1, 1]: 71 nodes ascending, the Kronrod weights, and
+# the Gauss weights of the nodes at odd positions, 0 among them.
+_NODES = np.concatenate([np.negative(_KRONROD_NODES[:0:-1]), _KRONROD_NODES])
+_KRONROD = np.concatenate([_KRONROD_WEIGHTS[:0:-1], _KRONROD_WEIGHTS])
+_GAUSS = np.concatenate([_GAUSS_WEIGHTS[:0:-1], _GAUSS_WEIGHTS])
 # Weighted density at or below which a node skips its betainc evaluation.
 _NEGLIGIBLE = 1e-20
-# Split budget of a pair the fixed rules cannot resolve: levels, live pieces.
+# Split budget of a pair the window pass cannot resolve: levels, live pieces.
 _MAX_SPLITS = 40
 _MAX_PIECES = 1000
 
@@ -133,16 +166,20 @@ def prob_beats_control(cand, control):
     Beta(control[0][i], control[1][i]).
 
     Each pair is integrated over whichever density is narrower, on its
-    16-standard-deviation window, with fixed 64- and 96-node Gauss-Legendre
-    rules; when the candidate is the narrower one the result is
-    1 - P(control > candidate). A pair whose two rules' disagreement, plus
-    the error bound of the closed-form terms for the mass outside the
-    window, exceeds PBC_TOL / 10, or whose integrated density is unbounded
-    (a shape below 1), is integrated again over the whole unit interval by
-    the same rules in substituted variables, bisecting the pieces they
-    cannot resolve (_upper_prob_split). Deterministic and the same for a
-    candidate alone as in any batch, so seeded runs stay bit-for-bit
-    reproducible.
+    window of _WINDOW_SD standard deviations either side of the mean, with
+    the embedded G35/K71 Gauss-Kronrod pair: the Kronrod value is used;
+    when the candidate is the narrower one the result is
+    1 - P(control > candidate). Error budget: a pair is accepted when
+    |K71 - G35|, plus the error bound of the closed-form terms for the mass
+    outside the window, is at most PBC_TOL / 10; skipped nodes move the
+    Kronrod value by at most 7.1e-19. A pair over that budget, or whose
+    integrated density is unbounded (a shape below 1), is integrated again
+    over the whole unit interval by the same pair of rules in substituted
+    variables, bisecting the pieces they cannot resolve
+    (_upper_prob_split), within PBC_TOL / 10 too. On top of either comes
+    the error of scipy's betaln, up to 1.5e-8 at shapes near 3e6.
+    Deterministic and the same for a candidate alone as in any batch, so
+    seeded runs stay bit-for-bit reproducible.
     """
     single = isinstance(cand, BetaPosterior)
     if single:
@@ -163,42 +200,39 @@ def prob_beats_control(cand, control):
     lo = np.maximum(0.0, m - _WINDOW_SD * sd)
     hi = np.minimum(1.0, m + _WINDOW_SD * sd)
     half = (hi - lo) / 2.0
-    y = ((hi + lo) / 2.0)[:, None] + half[:, None] * _GL_NODES
+    y = ((hi + lo) / 2.0)[:, None] + half[:, None] * _NODES
     log_pdf = (
         (a_int - 1.0)[:, None] * np.log(y)
         + (b_int - 1.0)[:, None] * np.log1p(-y)
         - special.betaln(a_int, b_int)[:, None]
     )
     pdf = np.exp(log_pdf)
-    # A node whose weighted density (times the half-width) is at most
-    # _NEGLIGIBLE adds at most that much to its rule's value, since the upper
-    # tail is at most 1; skipping betainc there moves the 64- and 96-node
-    # values by at most 160 * _NEGLIGIBLE together. A NaN density is not
-    # live, and its NaN product below still sends the pair to the split pass.
-    rows, cols = np.nonzero(pdf * _GL_WEIGHTS * half[:, None] > _NEGLIGIBLE)
+    # A node whose Kronrod-weighted density (times the half-width) is at
+    # most _NEGLIGIBLE adds at most that much to the Kronrod value, since
+    # the upper tail is at most 1, and at most 2.05 times that to the Gauss
+    # value; skipping betainc there moves each value by at most 71 *
+    # _NEGLIGIBLE. A NaN density is not live, and its NaN product below
+    # still sends the pair to the split pass.
+    rows, cols = np.nonzero(pdf * _KRONROD * half[:, None] > _NEGLIGIBLE)
     upper = np.zeros_like(y)
     # 1 - betainc rather than betaincc: the complement is several times
     # slower per evaluation in vectorised form.
     upper[rows, cols] = 1.0 - special.betainc(a_tail[rows], b_tail[rows], y[rows, cols])
-    # Row sums rather than a matrix product, so each pair's value does not
-    # depend on the rest of the batch.
-    weighted = pdf * upper * _GL_WEIGHTS
-    v64 = weighted[:, :64].sum(axis=1) * half
-    v96 = weighted[:, 64:].sum(axis=1) * half
+    kronrod, gauss = _kronrod_gauss(pdf * upper, half)
     # Integrated mass below lo almost surely loses; above hi it almost surely
     # wins only if the other density sits higher, bounded either way by the
     # tail. betainc is 0 at lo = 0 and 1 at hi = 1, so clamped windows add
     # nothing.
     below, above = special.betainc(a_int, b_int, lo), 1.0 - special.betainc(a_int, b_int, hi)
     tail_lo, tail_hi = special.betainc(a_tail, b_tail, lo), special.betainc(a_tail, b_tail, hi)
-    upper_prob = v96 + (below * (1.0 - tail_lo) + above * (1.0 - tail_hi))
+    upper_prob = kronrod + (below * (1.0 - tail_lo) + above * (1.0 - tail_hi))
     # Those terms take the tail's upper probability at lo for the mass below
     # lo, where it is between that and 1, and at hi for the mass above hi,
     # where it is between 0 and that: together off by at most this much.
     tails_error = below * tail_lo + above * (1.0 - tail_hi)
 
     # NaN compares false, so a non-finite estimate is also redone.
-    agree = np.abs(v64 - v96) + tails_error <= PBC_TOL / 10
+    agree = np.abs(kronrod - gauss) + tails_error <= PBC_TOL / 10
     redo = ~agree | (a_int < 1.0) | (b_int < 1.0)
     if redo.any():
         pairs = (x[redo] for x in (a_int, b_int, a_tail, b_tail))
@@ -230,6 +264,15 @@ def pbc_bounds(cand, control):
     return (1.0 - cdf_c) * cdf_k, 1.0 - cdf_c * (1.0 - cdf_k)
 
 
+def _kronrod_gauss(values, half):
+    """The Kronrod and embedded Gauss estimates of each row's integral, from
+    its integrand values at _NODES mapped onto an interval of half-width
+    `half`. Row sums rather than a matrix product, so each row's estimates
+    do not depend on the other rows."""
+    kronrod = (values * _KRONROD).sum(axis=1) * half
+    return kronrod, (values[:, 1::2] * _GAUSS).sum(axis=1) * half
+
+
 def _variance(a, b):
     m = a / (a + b)
     return m * (1.0 - m) / (a + b + 1.0)
@@ -241,10 +284,13 @@ def _upper_prob_split(a, b, a2, b2):
     both densities' shapes. Q = P(Z2 < Z < zm), Z ~ Beta(a, b), Z2 ~ Beta(a2,
     b2), zm = m or 1 - m, integrates f(z) I(z; a2, b2), whose singular
     factors at z = 0 multiply, in t = (z / zm)^p with p = a + a2 below 2
-    (else 1), which makes their leading term constant. A pair's starting
-    pieces on both halves share PBC_TOL / 10 equally; a piece whose 64- and
-    96-node values disagree by more than its share is bisected, each half
-    with half of it. Nothing here depends on the other pairs of the batch.
+    (else 1), which makes their leading term constant. Error budget: a
+    pair's starting pieces on both halves share PBC_TOL / 10 equally; a
+    piece whose K71 and G35 values disagree by more than its share, or
+    1e-10 of its value if that is more, is bisected, each half with half of
+    its share. Nodes are skipped as in the window pass, each adding at most
+    _NEGLIGIBLE (2.05 times that to G35) to its piece's values. Nothing
+    here depends on the other pairs of the batch.
     Beta(a, b) must be the narrower density, as in prob_beats_control: over
     the wider one a value can miss by more than its PBC_TOL / 10 budget.
     """
@@ -257,7 +303,7 @@ def _upper_prob_split(a, b, a2, b2):
     # long tail of a shape below 1, and at zm / 4, zm / 16, ... down to t =
     # 1/4, where a small p squeezes the regular factors into a layer at t = 1.
     scale = 4.0 ** np.arange(21)
-    window = (np.maximum(0.0, zm[:, None] - _WINDOW_SD * sd * scale) / zm[:, None]) ** p[:, None]
+    window = (np.maximum(0.0, zm[:, None] - _SPLIT_SD * sd * scale) / zm[:, None]) ** p[:, None]
     layer = scale ** -p[:, None]
     edges = np.sort(np.hstack([np.zeros_like(sd), window, layer * (layer > 0.25)]), axis=1)
     live = edges[:, 1:] > edges[:, :-1]
@@ -275,21 +321,23 @@ def _upper_prob_split(a, b, a2, b2):
             break
         a_, b_, a2_, b2_, zm_, p_, norm_, norm2_ = shapes[side].T[:, :, None]
         half = (t_hi - t_lo)[:, None] / 2.0
-        t = (t_hi + t_lo)[:, None] / 2.0 + half * _GL_NODES
+        t = (t_hi + t_lo)[:, None] / 2.0 + half * _NODES
         log_z = np.log(zm_) + np.log(t) / p_
         z = np.exp(log_z)
-        log_w = a_ * log_z - np.log(t) - norm_ + (b_ - 1.0) * np.log1p(-z)
-        cdf = special.betainc(a2_, b2_, z)
+        density = np.exp(a_ * log_z - np.log(t) - norm_ + (b_ - 1.0) * np.log1p(-z))
+        # Nodes are skipped as in prob_beats_control's window pass.
+        rows, cols = np.nonzero(density * _KRONROD * half > _NEGLIGIBLE)
+        cdf = np.zeros_like(z)
+        cdf[rows, cols] = special.betainc(a2_[rows, 0], b2_[rows, 0], z[rows, cols])
         # Where z has underflowed the CDF is its leading term z^a2 / (a2 B).
         tiny = z < np.finfo(float).tiny
         cdf[tiny] = np.exp((a2_ * log_z - norm2_)[tiny])
-        weighted = np.exp(log_w) * cdf * _GL_WEIGHTS * half
-        v64, v96 = weighted[:, :64].sum(axis=1), weighted[:, 64:].sum(axis=1)
-        if not np.isfinite(v64 + v96).all():
+        kronrod, gauss = _kronrod_gauss(density * cdf, half[:, 0])
+        if not np.isfinite(kronrod + gauss).all():
             raise QuadratureError("beat-control integral is not finite")
         # A piece's tolerance stops at the rounding of its value.
-        done = np.abs(v64 - v96) <= np.maximum(tol, 1e-10 * np.abs(v96))
-        q += np.bincount(side[done], weights=v96[done], minlength=2 * n)
+        done = np.abs(kronrod - gauss) <= np.maximum(tol, 1e-10 * np.abs(kronrod))
+        q += np.bincount(side[done], weights=kronrod[done], minlength=2 * n)
         mid = (t_lo + t_hi)[~done] / 2.0
         side = np.tile(side[~done], 2)
         tol = np.tile(tol[~done] / 2.0, 2)

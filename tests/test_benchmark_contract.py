@@ -80,8 +80,10 @@ def test_traced_sweep_sees_every_cell(tracing):
     cells = config.repetitions * len(config.traffic)
     assert summary["evolution.run_evolution"]["calls"] == cells
     assert summary["harness.run_evolution_arm"]["calls"] == cells
-    # One beat-control pass per repetition, over all of its cells.
-    assert summary["simstats.prob_beats_control"]["calls"] == config.repetitions
+    # One or two beat-control rounds per repetition, each over all of its
+    # cells, never one call per cell.
+    calls = summary["simstats.prob_beats_control"]["calls"]
+    assert config.repetitions <= calls <= 2 * config.repetitions < cells
 
 
 def test_setup_code_runs_for_every_workload(tracing, monkeypatch, capsys):

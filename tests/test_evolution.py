@@ -603,8 +603,17 @@ RULE_CASES = [
     (case([(1_000, 200), (1_000_000, 100_000)], (10_000, 100)), 1),
     # Floor: the second genome's hi (0.85) is below the first one's lo (0.999).
     (case([(100_000, 6_000), (1_000, 52)], (10_000, 500)), 1),
-    # Floor at the control's 1/2: both his are below it, and the batch is empty.
+    # Floor at the control's 1/2: both his are below it, and no call is made.
     (case([(1_000, 40), (2_000, 90)], (10_000, 500)), 0),
+    # Floor at the leader's computed PBC: the first genome's hi (0.75337)
+    # clears the bounds' floor, the second one's lo (0.75306), but not the
+    # PBC that round 1 computes for the second, the leader (0.943).
+    (case([(1_000, 50), (10_000, 550)], (10_000, 500)), 1),
+    # Certified by the leader's computed PBC: the first genome's lo (0.99967)
+    # certifies nothing and the second's hi (0.9999996) clears every floor,
+    # but the first, the leader, computes 1 - 2.4e-7, the top key, and the
+    # second's mean is lower.
+    (case([(2_000, 160), (10_000, 650)], (10_000, 500)), 1),
 ]
 
 PLANTED_CASES = [
@@ -633,9 +642,10 @@ def test_pruned_winner_equals_full_computation(cases):
 
 @pytest.mark.parametrize("cell, integrated", RULE_CASES)
 def test_bound_rules_drop_front_genomes(cell, integrated):
-    # Each planted cell's front holds two genomes; a spy on the one
-    # prob_beats_control call sees how many were integrated, so the rules
-    # must really have fired for the winner check to mean anything.
+    # Each planted cell's front holds two genomes; a spy on the
+    # prob_beats_control calls of both rounds sees how many were
+    # integrated, so the rules must really have fired for the winner check
+    # to mean anything.
     imp, conv, _, _ = cell
     assert len(undominated(conv, [n - c for n, c in zip(imp, conv)])) == 2
     sizes = []
@@ -646,7 +656,7 @@ def test_bound_rules_drop_front_genomes(cell, integrated):
 
     with mock.patch.object(evolution, "prob_beats_control", spy):
         assert beat_control_winner([cell]) == [full_winner(*cell)]
-    assert sizes == [integrated]
+    assert len(sizes) <= 2 and sum(sizes) == integrated
 
 
 def test_ledger_sums_every_generations_draws(monkeypatch):

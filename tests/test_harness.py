@@ -218,6 +218,20 @@ def test_sweep_is_one_table_for_every_curve():
             assert series.points[method] == aggregate_runs(cells[name])
 
 
+def test_during_sweep_picks_no_winner(monkeypatch):
+    # A curve that does not read winner_cr makes no beat-control pass, and
+    # every other measurement is the comparison sweep's, bit for bit.
+    config = smoke_config("mixed-linear")
+    cells = sweep(config)
+    calls = []
+    monkeypatch.setattr(harness, "beat_control_winner", calls.append)
+    during = sweep(replace(config, curve="during"))
+    assert calls == []
+    assert set(during) == set(cells) - {"winner_cr"}
+    for name, column in during.items():
+        assert column.tolist() == cells[name].tolist(), name
+
+
 def test_comparison_series_shape():
     series = smoke_series("setting1-linear")
     assert series.traffic == (2_000, 20_000)

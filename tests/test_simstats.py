@@ -168,6 +168,37 @@ def test_posterior_mean_approaches_observed_rate():
     assert abs(post.mean - 0.03) <= 100 / (100 + 10**6)
 
 
+def test_gauss_kronrod_table():
+    # The frozen rule: 2n + 1 ascending nodes, symmetric about 0, with
+    # positive weights, the n-node Gauss rule at every other node, and the
+    # Kronrod weights exact on x^k up to k = 3n + 1.
+    nodes, kronrod, gauss = simstats._NODES, simstats._KRONROD, simstats._GAUSS
+    n = len(gauss)
+    assert len(nodes) == len(kronrod) == 2 * n + 1
+    assert (np.diff(nodes) > 0).all()
+    assert nodes.tolist() == (-nodes[::-1]).tolist()
+    assert kronrod.tolist() == kronrod[::-1].tolist()
+    assert (kronrod > 0).all() and (gauss > 0).all()
+    x, w = np.polynomial.legendre.leggauss(n)
+    np.testing.assert_allclose(nodes[1::2], x, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(gauss, w, rtol=0, atol=1e-15)
+    for k in range(3 * n + 2):
+        exact = 2 / (k + 1) if k % 2 == 0 else 0.0
+        assert abs((kronrod * nodes**k).sum() - exact) <= 1e-15, k
+
+
+def test_skipped_nodes_move_pbc_negligibly(monkeypatch):
+    # Both passes skip betainc at nodes whose weighted density is at most
+    # 1e-20; evaluating every node instead moves no value by more than the
+    # nodes' count times that, far below 1e-15 here.
+    shapes = [((c.alpha, c.beta), (k.alpha, k.beta)) for c, k in oracle_cases()]
+    shapes += [(c, k) for k, c in BATCH_PAIRS]
+    pairs = [columns([pair[side] for pair in shapes]) for side in (0, 1)]
+    skipped = prob_beats_control(*pairs)
+    monkeypatch.setattr(simstats, "_NEGLIGIBLE", 0.0)
+    np.testing.assert_allclose(prob_beats_control(*pairs), skipped, rtol=0, atol=1e-15)
+
+
 def test_pbc_identical_posteriors():
     p = BetaPosterior(12.0, 88.0)
     assert prob_beats_control(p, p) == pytest.approx(0.5, abs=1e-6)
@@ -394,8 +425,9 @@ def oracle_cases():
     # No conversions anywhere: every shape alpha is about 7.6e-5.
     (cand, _, _), ctrl = counts_posteriors([(441_053, 0)] * 3, (10, 0))
     cases.append((cand, ctrl))
-    # A first-pass pair whose integrated shape is near 1 and whose other
-    # density has a steep CDF at the window's lower end.
+    # A pair whose integrated shape is near 1 and whose other density has a
+    # steep CDF at the window's lower end, 0; the window pass's Kronrod and
+    # Gauss values disagree there, so the split pass integrates it.
     cases.append((BetaPosterior(1.65, 344_525.0), BetaPosterior(2.7e-4, 148.8)))
     return cases
 
