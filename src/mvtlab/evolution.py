@@ -28,7 +28,7 @@ from .simstats import (
     PBC_TOL,
     BetaPosterior,
     global_prior,
-    pbc_bounds,
+    pbc_upper_bound,
     posterior,
     prob_beats_control,
     simulate_conversions,
@@ -310,45 +310,37 @@ def beat_control_winner(
     the undominated genomes: every genome shares the pooled prior, so one
     with no fewer conversions and no more failures than another has a
     stochastically larger posterior: no lower PBC and, counts differing, a
-    strictly higher mean. Then pbc_bounds gives each front genome lo <= PBC
-    <= hi, and two rules drop genomes whose key is surely below another's:
+    strictly higher mean. Then the front is integrated in two rounds, each
+    one prob_beats_control call over every cell's pairs, each pair against
+    its own cell's control, and no call for an empty round. Round 1
+    integrates each cell's leader, the front genome with the highest
+    pbc_upper_bound hi, then the highest mean, the earlier on a tie, if
+    its hi is at least 1/2 - 2 PBC_TOL. With p the leader's computed PBC
+    (1/2 if it was not integrated), one rule drops the genomes whose key
+    is surely below another's, and round 2 integrates the rest:
 
-    - Floor: with F the largest of 1/2 (the control) and the cell's lo
-      values, a genome with hi < F - 2 PBC_TOL is dropped.
-    - Certified: when some genome has lo >= 1 - PBC_TOL / 10, a genome whose
-      posterior mean is below the highest such genome's mean is dropped.
-      Equal means are kept, since the earlier index wins a full tie.
-
-    The kept genomes are integrated in two rounds, each one
-    prob_beats_control call over every cell's pairs, each pair against its
-    own cell's control, and no call for an empty round. Round 1 integrates
-    each cell's leading kept genome: highest hi, then highest mean, the
-    earlier on a tie. Its computed PBC p then prunes the rest of the cell
-    by the same two rules: the floor becomes the larger of F and p, and
-    when p rounds to the top key, a genome with a lower mean than the
-    leader's is dropped. Round 2 integrates the survivors.
+    - a genome with hi < max(1/2, p) - 2 PBC_TOL is dropped;
+    - when p rounds to the top key, so is every genome whose posterior mean
+      is below the leader's. Equal means are kept, since the earlier index
+      wins a full tie.
 
     Why the keys hold: a computed PBC is within e of the true one. The
     quadrature's budget is PBC_TOL / 10 (the Kronrod and Gauss values'
     disagreement plus the window tails' error bound, or the split pass's
     shares per pair); on top come up to 1.5e-8 from scipy's betaln at
-    shapes near 3e6 and 7.1e-19 per window or piece from skipped nodes.
-    The rules need only e < 4e-7, and the bounds' own rounding is far
-    inside the margins.
-    Floor: a dropped genome's computed PBC is below F - 2 PBC_TOL + e, while
-    the genome or control holding F computes at least F - e (the leader
-    computes p itself), more than PBC_TOL higher, so its rounded key is
-    higher.
-    Certified: a computed PBC of at least 1 - PBC_TOL / 10 - e lies above
-    1 - PBC_TOL / 2 and rounds to the top key, which no PBC (clipped to 1)
-    exceeds, so the higher mean wins; a leader's p that rounds to the top
-    key wins against a lower mean with no error term. A genome that beats
-    every other is never dropped, and the remaining genomes keep their
-    tested order. A pair's PBC does not depend on the rest of its batch,
-    so each cell's winner and its PBC are those of the full computation
-    for that cell alone.
+    shapes near 3e6 and 7.1e-19 per split-pass piece from skipped nodes.
+    The rule needs only e < 4e-7, and hi's own rounding is far inside the
+    margin. A dropped genome computes below max(1/2, p) - 2 PBC_TOL + e,
+    more than PBC_TOL below the control's exact 1/2 or the leader's p, so
+    its rounded key is lower. A p at the top key, which no PBC (clipped to
+    1) exceeds, beats a lower mean with no error term. The leader is never
+    dropped: its hi >= its true PBC >= p - e. So a genome that beats every
+    other is never dropped, and the remaining genomes keep their tested
+    order. A pair's PBC does not depend on the rest of its batch, so each
+    cell's winner and its PBC are those of the full computation for that
+    cell alone.
     """
-    fronts, ctrl_means, alphas, betas, ctrl_alphas, ctrl_betas = [], [], [], [], [], []
+    genomes, spans, ctrl_means, alphas, betas, ctrl_alphas, ctrl_betas = [], [], [], [], [], [], []
     for impressions, conversions, ctrl_impressions, ctrl_conversions in cells:
         prior = global_prior(
             sum(impressions) + ctrl_impressions, sum(conversions) + ctrl_conversions
@@ -356,7 +348,9 @@ def beat_control_winner(
         ctrl_post = BetaPosterior(*posterior(prior, ctrl_impressions, ctrl_conversions))
         failures = [n - c for n, c in zip(impressions, conversions)]
         front = undominated(conversions, failures)
-        fronts.append(front)
+        # The cell's pair positions; genomes[i] is pair i's genome index.
+        spans.append(range(len(genomes), len(genomes) + len(front)))
+        genomes += front
         ctrl_means.append(ctrl_post.mean)
         # posterior()'s conjugate update, element by element on Python
         # floats: the same IEEE operations as on count arrays.
@@ -365,7 +359,7 @@ def beat_control_winner(
         ctrl_alphas += [ctrl_post.alpha] * len(front)
         ctrl_betas += [ctrl_post.beta] * len(front)
     means = [a / (a + b) for a, b in zip(alphas, betas)]
-    lows, highs = (x.tolist() for x in pbc_bounds((alphas, betas), (ctrl_alphas, ctrl_betas)))
+    highs = pbc_upper_bound((alphas, betas), (ctrl_alphas, ctrl_betas)).tolist()
     pbcs = {}  # pair position -> computed PBC
 
     def integrate(batch):
@@ -374,37 +368,24 @@ def beat_control_winner(
             controls = ([ctrl_alphas[i] for i in batch], [ctrl_betas[i] for i in batch])
             pbcs.update(zip(batch, prob_beats_control(pairs, controls).tolist()))
 
-    # Per cell, the floor F and the pair positions of the genomes that can win.
-    floors, kept, start = [], [], 0
-    for front in fronts:
-        pairs = range(start, start + len(front))
-        floors.append(max([0.5, *(lows[i] for i in pairs)]))
-        keep = [i for i in pairs if highs[i] >= floors[-1] - 2 * PBC_TOL]
-        certain = [means[i] for i in pairs if lows[i] >= 1.0 - PBC_TOL / 10]
-        if certain:
-            top = max(certain)
-            keep = [i for i in keep if means[i] >= top]
+    leaders = [max(span, key=lambda i: (highs[i], means[i]), default=None) for span in spans]
+    integrate([i for i in leaders if i is not None and highs[i] >= 0.5 - 2 * PBC_TOL])
+    kept = []
+    for span, lead in zip(spans, leaders):
+        p = pbcs.get(lead, 0.5)
+        keep = [i for i in span if highs[i] >= max(0.5, p) - 2 * PBC_TOL]
+        if round(p / PBC_TOL) == _TOP_KEY:
+            keep = [i for i in keep if means[i] >= means[lead]]
         kept.append(keep)
-        start += len(front)
-    leaders = [max(keep, key=lambda i: (highs[i], means[i])) if keep else None for keep in kept]
-    integrate([i for i in leaders if i is not None])
-    for c, lead in enumerate(leaders):
-        if lead is not None:
-            floor = max(floors[c], pbcs[lead]) - 2 * PBC_TOL
-            keep = [i for i in kept[c] if i == lead or highs[i] >= floor]
-            if round(pbcs[lead] / PBC_TOL) == _TOP_KEY:
-                keep = [i for i in keep if means[i] >= means[lead]]
-            kept[c] = keep
     integrate([i for keep in kept for i in keep if i not in pbcs])
-    winners, start = [], 0
-    for front, ctrl_mean, keep in zip(fronts, ctrl_means, kept):
+    winners = []
+    for ctrl_mean, keep in zip(ctrl_means, kept):
         cell_pbcs = [0.5, *(pbcs[i] for i in keep)]
         cell_means = [ctrl_mean, *(means[i] for i in keep)]
         best = max(
             range(len(cell_pbcs)), key=lambda i: (round(cell_pbcs[i] / PBC_TOL), cell_means[i])
         )
-        winners.append(((front[keep[best - 1] - start] if best else None), cell_pbcs[best]))
-        start += len(front)
+        winners.append(((genomes[keep[best - 1]] if best else None), cell_pbcs[best]))
     return winners
 
 

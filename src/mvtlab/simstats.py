@@ -22,8 +22,9 @@ class BetaPosterior:
     beta: float
 
     def __post_init__(self):
-        if self.alpha <= 0 or self.beta <= 0:
-            raise ValueError(f"Beta parameters must be positive: {self}")
+        # Written so that NaN and infinity fail it.
+        if not (0.0 < self.alpha < np.inf and 0.0 < self.beta < np.inf):
+            raise ValueError(f"Beta parameters must be positive and finite: {self}")
 
     @property
     def mean(self) -> float:
@@ -150,7 +151,8 @@ _GAUSS_WEIGHTS = (
 _NODES = np.concatenate([np.negative(_KRONROD_NODES[:0:-1]), _KRONROD_NODES])
 _KRONROD = np.concatenate([_KRONROD_WEIGHTS[:0:-1], _KRONROD_WEIGHTS])
 _GAUSS = np.concatenate([_GAUSS_WEIGHTS[:0:-1], _GAUSS_WEIGHTS])
-# Weighted density at or below which a node skips its betainc evaluation.
+# Weighted density at or below which a split-pass node skips its betainc
+# evaluation.
 _NEGLIGIBLE = 1e-20
 # Split budget of a pair the window pass cannot resolve: levels, live pieces.
 _MAX_SPLITS = 40
@@ -171,11 +173,10 @@ def prob_beats_control(cand, control):
     when the candidate is the narrower one the result is
     1 - P(control > candidate). Error budget: a pair is accepted when
     |K71 - G35|, plus the error bound of the closed-form terms for the mass
-    outside the window, is at most PBC_TOL / 10; skipped nodes move the
-    Kronrod value by at most 7.1e-19. A pair over that budget, or whose
-    integrated density is unbounded (a shape below 1), is integrated again
-    over the whole unit interval by the same pair of rules in substituted
-    variables, bisecting the pieces they cannot resolve
+    outside the window, is at most PBC_TOL / 10. A pair over that budget,
+    or whose integrated density is unbounded (a shape below 1), is
+    integrated again over the whole unit interval by the same pair of rules
+    in substituted variables, bisecting the pieces they cannot resolve
     (_upper_prob_split), within PBC_TOL / 10 too. On top of either comes
     the error of scipy's betaln, up to 1.5e-8 at shapes near 3e6.
     Deterministic and the same for a candidate alone as in any batch, so
@@ -206,19 +207,10 @@ def prob_beats_control(cand, control):
         + (b_int - 1.0)[:, None] * np.log1p(-y)
         - special.betaln(a_int, b_int)[:, None]
     )
-    pdf = np.exp(log_pdf)
-    # A node whose Kronrod-weighted density (times the half-width) is at
-    # most _NEGLIGIBLE adds at most that much to the Kronrod value, since
-    # the upper tail is at most 1, and at most 2.05 times that to the Gauss
-    # value; skipping betainc there moves each value by at most 71 *
-    # _NEGLIGIBLE. A NaN density is not live, and its NaN product below
-    # still sends the pair to the split pass.
-    rows, cols = np.nonzero(pdf * _KRONROD * half[:, None] > _NEGLIGIBLE)
-    upper = np.zeros_like(y)
     # 1 - betainc rather than betaincc: the complement is several times
     # slower per evaluation in vectorised form.
-    upper[rows, cols] = 1.0 - special.betainc(a_tail[rows], b_tail[rows], y[rows, cols])
-    kronrod, gauss = _kronrod_gauss(pdf * upper, half)
+    upper = 1.0 - special.betainc(a_tail[:, None], b_tail[:, None], y)
+    kronrod, gauss = _kronrod_gauss(np.exp(log_pdf) * upper, half)
     # Integrated mass below lo almost surely loses; above hi it almost surely
     # wins only if the other density sits higher, bounded either way by the
     # tail. betainc is 0 at lo = 0 and 1 at hi = 1, so clamped windows add
@@ -241,19 +233,17 @@ def prob_beats_control(cand, control):
     return float(pbc[0]) if single else pbc
 
 
-def pbc_bounds(cand, control):
-    """(lo, hi) arrays with lo <= P(candidate CR > control CR) <= hi, pair by
-    pair, for a batch of candidates and their aligned controls, each given as
-    (alphas, betas) arrays as in prob_beats_control.
+def pbc_upper_bound(cand, control):
+    """An array of upper bounds hi >= P(candidate CR > control CR), pair by
+    pair, for a batch of candidates and their aligned controls, each given
+    as (alphas, betas) arrays as in prob_beats_control.
 
-    Both come from the two posteriors' CDFs at one split point y between the
+    hi comes from the two posteriors' CDFs at one split point y between the
     means, as many standard deviations from each: y = (m_c sd_k + m_k sd_c)
-    / (sd_c + sd_k). The posteriors are independent, so a candidate above y
-    with its control at or below it beats the control, and one at or below
-    y with its control above it does not:
-    lo = (1 - I_y(a_c, b_c)) I_y(a_k, b_k) and
+    / (sd_c + sd_k). The posteriors are independent, so a candidate at or
+    below y with its control above it does not beat the control:
     hi = 1 - I_y(a_c, b_c) (1 - I_y(a_k, b_k)). Two betainc evaluations per
-    pair, elementwise, so a pair's bounds do not depend on its batch.
+    pair, elementwise, so a pair's bound does not depend on its batch.
     """
     a = np.array([cand[0], control[0]], dtype=float)
     b = np.array([cand[1], control[1]], dtype=float)
@@ -261,7 +251,7 @@ def pbc_bounds(cand, control):
     sd_c, sd_k = np.sqrt(_variance(a, b))
     split = (means[0] * sd_k + means[1] * sd_c) / (sd_c + sd_k)
     cdf_c, cdf_k = special.betainc(a, b, split)
-    return (1.0 - cdf_c) * cdf_k, 1.0 - cdf_c * (1.0 - cdf_k)
+    return 1.0 - cdf_c * (1.0 - cdf_k)
 
 
 def _kronrod_gauss(values, half):
@@ -288,8 +278,10 @@ def _upper_prob_split(a, b, a2, b2):
     pair's starting pieces on both halves share PBC_TOL / 10 equally; a
     piece whose K71 and G35 values disagree by more than its share, or
     1e-10 of its value if that is more, is bisected, each half with half of
-    its share. Nodes are skipped as in the window pass, each adding at most
-    _NEGLIGIBLE (2.05 times that to G35) to its piece's values. Nothing
+    its share. A node whose Kronrod-weighted density times half-width is at
+    most _NEGLIGIBLE skips its betainc evaluation and counts as zero: the
+    CDF is at most 1, so it moves its piece's K71 value by at most
+    _NEGLIGIBLE and its G35 value by at most 2.05 times that. Nothing
     here depends on the other pairs of the batch.
     Beta(a, b) must be the narrower density, as in prob_beats_control: over
     the wider one a value can miss by more than its PBC_TOL / 10 budget.
@@ -325,7 +317,7 @@ def _upper_prob_split(a, b, a2, b2):
         log_z = np.log(zm_) + np.log(t) / p_
         z = np.exp(log_z)
         density = np.exp(a_ * log_z - np.log(t) - norm_ + (b_ - 1.0) * np.log1p(-z))
-        # Nodes are skipped as in prob_beats_control's window pass.
+        # A NaN density is not live; its NaN product still makes K71 non-finite.
         rows, cols = np.nonzero(density * _KRONROD * half > _NEGLIGIBLE)
         cdf = np.zeros_like(z)
         cdf[rows, cols] = special.betainc(a2_[rows, 0], b2_[rows, 0], z[rows, cols])

@@ -595,24 +595,26 @@ def winner_cases(draw):
     return case(picks, draw(count_pairs))
 
 
-# Cells in which each bound rule drops a front genome: (cell, front
+# Cells in which the pruning rule drops a front genome: (cell, front
 # genomes whose PBC is integrated).
 RULE_CASES = [
-    # Certified: both PBCs round to the top key; the second genome's is the
-    # higher (1.0 against 1 - 1.8e-11) but its mean is lower.
+    # Top key: both his are 1.0, so the first genome, the higher mean, leads;
+    # its PBC (1 - 1.8e-11) rounds to the top key, and the second's mean is
+    # lower, though its PBC (1.0) is the higher.
     (case([(1_000, 200), (1_000_000, 100_000)], (10_000, 100)), 1),
-    # Floor: the second genome's hi (0.85) is below the first one's lo (0.999).
+    # The leader's PBC: the second genome's hi (0.85) is below the PBC that
+    # round 1 computes for the first, the leader (0.99998).
     (case([(100_000, 6_000), (1_000, 52)], (10_000, 500)), 1),
-    # Floor at the control's 1/2: both his are below it, and no call is made.
+    # The control's 1/2: both his (0.24 and 0.41) are below it, so not even
+    # the leader is integrated, and no call is made.
     (case([(1_000, 40), (2_000, 90)], (10_000, 500)), 0),
-    # Floor at the leader's computed PBC: the first genome's hi (0.75337)
-    # clears the bounds' floor, the second one's lo (0.75306), but not the
-    # PBC that round 1 computes for the second, the leader (0.943).
+    # The leader's PBC, above hi: the first genome's hi (0.75337) clears the
+    # control's 1/2, but not the PBC of the second, the leader (0.943).
     (case([(1_000, 50), (10_000, 550)], (10_000, 500)), 1),
-    # Certified by the leader's computed PBC: the first genome's lo (0.99967)
-    # certifies nothing and the second's hi (0.9999996) clears every floor,
-    # but the first, the leader, computes 1 - 2.4e-7, the top key, and the
-    # second's mean is lower.
+    # Top key against a hi that clears the threshold: the second genome's
+    # hi (1 - 4.2e-7) is within 2 PBC_TOL of the leader's PBC, but the
+    # first, the leader, computes 1 - 2.4e-7, the top key, and the second's
+    # mean is lower.
     (case([(2_000, 160), (10_000, 650)], (10_000, 500)), 1),
 ]
 
@@ -624,8 +626,10 @@ PLANTED_CASES = [
     # planted exact ties, also with the strongest genome
     case([(5_000, 240), (5_000, 250), (5_000, 250), (5_000, 250)], (5_000, 200)),
     *(cell for cell, _ in RULE_CASES),
-    # The first genome's lo (0.9986) falls short of certified, and its mean
-    # is the higher; the second, certified, must still win on its PBC.
+    # The second genome leads on hi (1.0) and computes the top key. The
+    # first, with the higher mean, survives the rule (hi 0.9999996) and is
+    # integrated in round 2, where its PBC (0.99993) falls short of the top
+    # key, so the second must still win on its PBC.
     case([(2_000, 140), (1_000_000, 60_000)], (100_000, 5_000)),
 ]
 
@@ -644,7 +648,7 @@ def test_pruned_winner_equals_full_computation(cases):
 def test_bound_rules_drop_front_genomes(cell, integrated):
     # Each planted cell's front holds two genomes; a spy on the
     # prob_beats_control calls of both rounds sees how many were
-    # integrated, so the rules must really have fired for the winner check
+    # integrated, so the rule must really have fired for the winner check
     # to mean anything.
     imp, conv, _, _ = cell
     assert len(undominated(conv, [n - c for n, c in zip(imp, conv)])) == 2
