@@ -19,6 +19,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,17 +54,28 @@ class EvolutionConfig:
             raise ValueError("elite fraction must lie strictly between 0 and 1")
 
 
-@dataclass(frozen=True)
-class GenerationRecord:
-    """One generation: genomes as an (n, variables) int array, each slot's
-    accumulated impressions and conversions (elites carry theirs forward),
-    this generation's true conversion rates, and the elites bred from."""
+class GenerationRecord(NamedTuple):
+    """One generation, as lists: each slot's flat id, accumulated impressions
+    and conversions (elites carry theirs forward) and true conversion rate,
+    the indices of the elites bred from; and the space the ids index."""
 
-    genomes: np.ndarray
-    impressions: np.ndarray
-    conversions: np.ndarray
-    true_crs: np.ndarray
+    ids: list[int]
+    impressions: list[int]
+    conversions: list[int]
+    true_crs: list[float]
     elite_indices: list[int]
+    space: SearchSpace
+
+    @property
+    def genomes(self) -> np.ndarray:
+        """The slots' genomes as an (n, variables) int array, built when read."""
+        return np.transpose(_unravel(self.ids, self.space))
+
+
+def _unravel(ids, space: SearchSpace) -> tuple:
+    """Each variable's value index in the genomes that flat ids name: an int
+    per variable for an id, an array per variable for a list of ids."""
+    return np.unravel_index(ids, space.cardinalities)
 
 
 def init_population(space: SearchSpace) -> np.ndarray:
@@ -298,7 +310,8 @@ def beat_control_winner(
     ctrl_conversions): the index of the tested genome with the highest
     probability to beat control (None for the control), and that
     probability, under posteriors smoothed by the cell's pooled prior.
-    Element i of a cell's count lists is genome i's accumulated evidence.
+    Element i of a cell's count lists is genome i's accumulated evidence;
+    conversions outside [0, impressions] are a ValueError.
 
     The control is itself a tested candidate (PBC exactly 1/2 against its
     own posterior), so nothing with worse evidence than the default can
@@ -342,11 +355,13 @@ def beat_control_winner(
     """
     genomes, spans, ctrl_means, alphas, betas, ctrl_alphas, ctrl_betas = [], [], [], [], [], [], []
     for impressions, conversions, ctrl_impressions, ctrl_conversions in cells:
+        failures = [n - c for n, c in zip(impressions, conversions)]
+        if min(*conversions, *failures, ctrl_conversions, ctrl_impressions - ctrl_conversions) < 0:
+            raise ValueError("a cell has conversions outside [0, impressions]")
         prior = global_prior(
             sum(impressions) + ctrl_impressions, sum(conversions) + ctrl_conversions
         )
         ctrl_post = BetaPosterior(*posterior(prior, ctrl_impressions, ctrl_conversions))
-        failures = [n - c for n, c in zip(impressions, conversions)]
         front = undominated(conversions, failures)
         # The cell's pair positions; genomes[i] is pair i's genome index.
         spans.append(range(len(genomes), len(genomes) + len(front)))
@@ -395,46 +410,27 @@ class EvolutionResult:
     genomes served, in first-tested order. `evidence`: this run's cell of
     beat_control_winner's argument, (impressions, conversions,
     ctrl_impressions, ctrl_conversions), the first two lists aligned to
-    `tested_ids`; the control's own share is counted apart. `generations`
-    logs each generation as (flat ids, impressions, conversions, true CRs,
-    elite indices), the counts and rates as lists. The genome rows and the
-    records are built from these on first access."""
+    `tested_ids`; the control's own share is counted apart. `records`
+    logs each generation, in order. The genome rows are built from the flat
+    ids when read."""
 
     space: SearchSpace
     tested_ids: list[int]
     evidence: tuple[list[int], list[int], int, int]
-    generations: tuple
-
-    @property
-    def true_crs(self) -> list[list[float]]:
-        """Each generation's true conversion rate per slot."""
-        return [crs for _, _, _, crs, _ in self.generations]
-
-    @cached_property
-    def records(self) -> tuple[GenerationRecord, ...]:
-        return tuple(
-            GenerationRecord(
-                np.transpose(np.unravel_index(ids, self.space.cardinalities)),
-                np.array(imps),
-                np.array(convs),
-                np.array(crs),
-                elites,
-            )
-            for ids, imps, convs, crs, elites in self.generations
-        )
+    records: tuple[GenerationRecord, ...]
 
     @cached_property
     def tested(self) -> np.ndarray:
         """The tested genomes as an (n, variables) int array, one row per
         element of tested_ids."""
-        return np.transpose(np.unravel_index(self.tested_ids, self.space.cardinalities))
+        return np.transpose(_unravel(self.tested_ids, self.space))
 
     def candidate(self, index: int | None) -> Candidate:
         """The tested genome a beat_control_winner index names; the control
         for None."""
         if index is None:
             return control(self.space)
-        return Candidate(np.unravel_index(self.tested_ids[index], self.space.cardinalities))
+        return Candidate(_unravel(self.tested_ids[index], self.space))
 
 
 def run_evolution(
@@ -474,7 +470,7 @@ def run_evolution(
     # served it; a dict keeps its keys in first-tested order.
     ledger: dict[int, list[int]] = {}
     ctrl_impressions = ctrl_conversions = 0
-    generations = []
+    records = []
 
     for g, slots in enumerate(traffic_plan):
         # Bred genomes are in range by construction, so the landscape is
@@ -497,7 +493,7 @@ def run_evolution(
         # The pooled prior depends only on the population's totals.
         prior = global_prior(sum(impressions), sum(conversions))
         elite_idx = select_elites(ids, impressions, conversions, config.elite_fraction, prior)
-        generations.append((ids, impressions, conversions, true_crs, elite_idx))
+        records.append(GenerationRecord(ids, impressions, conversions, true_crs, elite_idx, space))
         if g + 1 < config.generations:
             ids, impressions, conversions = next_generation(
                 ids, impressions, conversions, elite_idx, config, space, rng
@@ -510,5 +506,5 @@ def run_evolution(
         evidence=(
             [n for n, _ in totals], [c for _, c in totals], ctrl_impressions, ctrl_conversions
         ),
-        generations=tuple(generations),
+        records=tuple(records),
     )

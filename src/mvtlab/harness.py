@@ -115,12 +115,7 @@ class ExperimentConfig:
         check_landscape_size(self.space)
         check_weights(self.space, self.mode, self.weights)
         pop_size = len(init_population(self.space))
-        need = self.evolution.generations * pop_size
-        if self.traffic[0] < need:
-            raise ValueError(
-                f"smallest traffic level {self.traffic[0]} cannot cover "
-                f"{self.evolution.generations} generations of {pop_size} candidates"
-            )
+        allocate_evolution(self.traffic[0], self.evolution.generations, pop_size)
 
     def load_design(self) -> OrthogonalArray:
         """The configured orthogonal array, checked against the space and the
@@ -140,11 +135,7 @@ class ExperimentConfig:
                 f"array levels {list(array.column_levels)} do not match "
                 f"space {list(self.space.cardinalities)}"
             )
-        if self.traffic[0] < array.n_rows:
-            raise ValueError(
-                f"smallest traffic level {self.traffic[0]} cannot cover "
-                f"the array's {array.n_rows} rows"
-            )
+        allocate_taguchi(self.traffic[0], array.n_rows)
         return array
 
 
@@ -224,7 +215,8 @@ def run_evolution_arm(
     beat_control_winner picks, and the impression-weighted true conversion
     rate of all traffic served."""
     result = run_evolution(evaluator, plan, config.evolution, rng)
-    return result, _served_average(chain(*plan), chain(*result.true_crs), sum(map(sum, plan)))
+    crs = chain.from_iterable(r.true_crs for r in result.records)
+    return result, _served_average(chain(*plan), crs, sum(map(sum, plan)))
 
 
 def _served_average(impressions, crs, total_traffic: int) -> float:

@@ -165,7 +165,8 @@ def prob_beats_control(cand, control):
     control BetaPosterior, or an array for a batch of pairs, the candidates
     and the controls each given as aligned (alphas, betas) sequences,
     element i for candidate Beta(cand[0][i], cand[1][i]) against control
-    Beta(control[0][i], control[1][i]).
+    Beta(control[0][i], control[1][i]). Unaligned sequences, or a shape
+    that is not positive and finite, are a ValueError.
 
     Each pair is integrated over whichever density is narrower, on its
     window of _WINDOW_SD standard deviations either side of the mean, with
@@ -185,11 +186,7 @@ def prob_beats_control(cand, control):
     single = isinstance(cand, BetaPosterior)
     if single:
         cand, control = ([cand.alpha], [cand.beta]), ([control.alpha], [control.beta])
-    a_c, b_c, a_k, b_k = (np.asarray(x, dtype=float) for x in (*cand, *control))
-    if not a_k.shape == b_k.shape == a_c.shape:
-        raise ValueError(
-            f"control batch of shapes {a_k.shape} and {b_k.shape} for candidates {a_c.shape}"
-        )
+    a_c, a_k, b_c, b_k = _batch(cand, control)
     cand_narrower = _variance(a_c, b_c) < _variance(a_k, b_k)
     a_int = np.where(cand_narrower, a_c, a_k)
     b_int = np.where(cand_narrower, b_c, b_k)
@@ -236,7 +233,7 @@ def prob_beats_control(cand, control):
 def pbc_upper_bound(cand, control):
     """An array of upper bounds hi >= P(candidate CR > control CR), pair by
     pair, for a batch of candidates and their aligned controls, each given
-    as (alphas, betas) arrays as in prob_beats_control.
+    as (alphas, betas) sequences and checked as in prob_beats_control.
 
     hi comes from the two posteriors' CDFs at one split point y between the
     means, as many standard deviations from each: y = (m_c sd_k + m_k sd_c)
@@ -245,13 +242,27 @@ def pbc_upper_bound(cand, control):
     hi = 1 - I_y(a_c, b_c) (1 - I_y(a_k, b_k)). Two betainc evaluations per
     pair, elementwise, so a pair's bound does not depend on its batch.
     """
-    a = np.array([cand[0], control[0]], dtype=float)
-    b = np.array([cand[1], control[1]], dtype=float)
+    shapes = _batch(cand, control)
+    a, b = shapes[:2], shapes[2:]
     means = a / (a + b)
     sd_c, sd_k = np.sqrt(_variance(a, b))
     split = (means[0] * sd_k + means[1] * sd_c) / (sd_c + sd_k)
     cdf_c, cdf_k = special.betainc(a, b, split)
     return 1.0 - cdf_c * (1.0 - cdf_k)
+
+
+def _batch(cand, control) -> np.ndarray:
+    """A batch of (alphas, betas) candidates and controls as one (4, pairs)
+    float array: candidate and control alphas, then their betas. ValueError
+    unless these are equally long rows of positive, finite shapes."""
+    (a_c, b_c), (a_k, b_k) = cand, control
+    shapes = np.array([a_c, a_k, b_c, b_k], dtype=float)  # ValueError if ragged
+    if shapes.ndim != 2:
+        raise ValueError(f"batches of shape {shapes.shape} are not four aligned rows")
+    # Written so that NaN fails it: min and max propagate NaN.
+    if shapes.size and not (shapes.min() > 0.0 and shapes.max() < np.inf):
+        raise ValueError("Beta parameters must be positive and finite")
+    return shapes
 
 
 def _kronrod_gauss(values, half):

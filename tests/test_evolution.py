@@ -4,6 +4,7 @@ determinism, and oracle comparisons at high traffic."""
 import itertools
 import math
 from collections import Counter
+from dataclasses import fields
 from unittest import mock
 
 import numpy as np
@@ -14,6 +15,8 @@ from mvtlab import evolution
 from mvtlab.evaluator import LINEAR, brute_force_best, sample_evaluator
 from mvtlab.evolution import (
     EvolutionConfig,
+    EvolutionResult,
+    GenerationRecord,
     beat_control_winner,
     crossover,
     init_population,
@@ -424,8 +427,9 @@ def test_run_evolution_structure():
     for prev, nxt in zip(result.records, result.records[1:]):
         k = len(prev.elite_indices)
         assert nxt.genomes[:k].tolist() == prev.genomes[prev.elite_indices].tolist()
-        assert (nxt.impressions[:k] > prev.impressions[prev.elite_indices]).all()
-        assert (nxt.conversions[:k] >= prev.conversions[prev.elite_indices]).all()
+        for i, e in enumerate(prev.elite_indices):
+            assert nxt.impressions[i] > prev.impressions[e]
+            assert nxt.conversions[i] >= prev.conversions[e]
 
 
 def test_run_evolution_tested_totals_match_plan(monkeypatch):
@@ -459,6 +463,24 @@ def test_run_evolution_tested_totals_match_plan(monkeypatch):
     assert 0 <= ctrl_conv <= ctrl_imp
 
 
+def test_records_log_each_generations_lists():
+    # A run keeps one record per generation: the lists the loop had, with
+    # the genome rows unravelled from the flat ids only when read.
+    space = SearchSpace([3, 6, 2])
+    ev, result = run_once(space, 6, total=50_000)
+    assert [f.name for f in fields(EvolutionResult)] == [
+        "space", "tested_ids", "evidence", "records",
+    ]
+    assert GenerationRecord._fields == (
+        "ids", "impressions", "conversions", "true_crs", "elite_indices", "space",
+    )
+    for record in result.records:
+        assert type(record) is GenerationRecord and record.space == space
+        assert all(type(x) is list for x in record[:5])
+        assert record.genomes.tolist() == genome_rows(record.ids, space)
+        assert record.true_crs == ev.true_crs(record.genomes).tolist()
+
+
 def test_tested_rows_and_candidates_unravel_the_flat_ids():
     # The tested rows are built on first access from the flat ids, and a
     # winner index names the same genome either way.
@@ -484,8 +506,8 @@ def test_run_evolution_determinism():
     assert own_winner(r1) == own_winner(r2)
     for a, b in zip(r1.records, r2.records):
         assert a.genomes.tolist() == b.genomes.tolist()
-        assert a.impressions.tolist() == b.impressions.tolist()
-        assert a.conversions.tolist() == b.conversions.tolist()
+        assert a.impressions == b.impressions
+        assert a.conversions == b.conversions
         assert a.elite_indices == b.elite_indices
 
 
@@ -547,6 +569,23 @@ def test_winner_defaults_to_control():
     imp, conv = count_lists([(10_000, 300)])
     assert beat_control_winner([(imp, conv, 10_000, 600)]) == [(None, 0.5)]
     assert beat_control_winner([]) == []
+
+
+@pytest.mark.parametrize(
+    "cell",
+    [
+        ([10, 1000], [12, 50], 1000, 40),  # 12 conversions in 10 impressions
+        ([10, 1000], [200, 0], 1000, 0),  # a negative beta: hi would be NaN
+        ([10, 1000], [-1, 50], 1000, 40),
+        ([10, 1000], [5, 50], 1000, 1001),
+        ([10, 1000], [5, 50], 1000, -1),
+    ],
+)
+def test_winner_rejects_conversions_outside_impressions(cell):
+    good = ([10, 1000], [5, 50], 1000, 40)
+    with pytest.raises(ValueError, match="outside") as error:
+        beat_control_winner([good, cell])
+    assert "\n" not in str(error.value)
 
 
 @given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), max_size=30))
@@ -678,9 +717,9 @@ def test_ledger_sums_every_generations_draws(monkeypatch):
     _, result = run_once(SearchSpace([3, 6, 2]), 3, total=50_003)
     # A dict keeps keys in first-insertion order, the first-tested order.
     reference: dict[int, list[int]] = {}
-    for (ids, *_), slots, drawn in zip(result.generations, plan, draws, strict=True):
+    for record, slots, drawn in zip(result.records, plan, draws, strict=True):
         # The last draw is the control's.
-        for i, n, c in zip(ids, slots, drawn[:-1], strict=True):
+        for i, n, c in zip(record.ids, slots, drawn[:-1], strict=True):
             sums = reference.setdefault(i, [0, 0])
             sums[0] += n
             sums[1] += c

@@ -201,6 +201,26 @@ def test_taguchi_served_average_adds_left_to_right():
     assert result["taguchi_served"] == left_to_right / 4
 
 
+def test_evolution_served_average_adds_left_to_right():
+    # Evolution's served average adds plan slot by plan slot, generation by
+    # generation, each slot's impressions times the true conversion rate
+    # its generation's record logs. On this seed a compensated sum rounds
+    # differently.
+    config = PRESETS["setting1-linear"]
+    ev = sample_evaluator(config.space, LINEAR, seed=0)
+    plan = tuple(map(tuple, allocate_evolution(1_000, 8, 3)))
+    result, served = run_evolution_arm(config, ev, plan, np.random.default_rng(0))
+    terms = [
+        n * cr for slots, record in zip(plan, result.records, strict=True)
+        for n, cr in zip(slots, record.true_crs, strict=True)
+    ]
+    left_to_right = 0.0
+    for term in terms:
+        left_to_right += term
+    assert served == left_to_right / 1_000
+    assert served != math.fsum(terms) / 1_000
+
+
 def test_sweep_is_one_table_for_every_curve():
     config = smoke_config("mixed-linear")
     cells = sweep(config)

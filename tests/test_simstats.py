@@ -538,11 +538,15 @@ def test_split_budget_exhaustion_raises(monkeypatch):
         prob_beats_control(BetaPosterior(*cand), BetaPosterior(*ctrl))
 
 
-def test_non_finite_integral_raises():
-    # The batch form does not check its shapes as BetaPosterior does; a NaN
-    # shape makes the integral non-finite in both passes.
+def test_non_finite_integral_raises(monkeypatch):
+    # Valid shapes whose CDF evaluates to NaN make the integral non-finite
+    # in both passes.
+    def nan_betainc(a, b, x):
+        return np.full(np.broadcast(a, b, x).shape, np.nan)
+
+    monkeypatch.setattr(simstats.special, "betainc", nan_betainc)
     with pytest.raises(QuadratureError, match="not finite"):
-        prob_beats_control(([math.nan], [2.0]), ([3.0], [4.0]))
+        prob_beats_control(([1.0], [2.0]), ([3.0], [4.0]))
 
 
 def test_pbc_control_batch_must_align():
@@ -550,6 +554,35 @@ def test_pbc_control_batch_must_align():
     with pytest.raises(ValueError) as error:
         prob_beats_control(([40.0, 55.0], [960.0, 945.0]), ([60.0], [940.0]))
     assert "\n" not in str(error.value)
+
+
+@pytest.mark.parametrize("pbc", [prob_beats_control, simstats.pbc_upper_bound])
+def test_pbc_batch_sequences_must_align(pbc):
+    # Both batch forms take their pairs through one conversion, which also
+    # checks the candidates' betas and the number of sequences.
+    assert pbc(([], []), ([], [])).shape == (0,)
+    for cand, control in [
+        (([40.0, 55.0], [960.0, 945.0]), ([60.0], [940.0])),
+        (([40.0, 55.0], [960.0]), ([60.0, 60.0], [940.0, 940.0])),
+        (([40.0], [960.0], [1.0]), ([60.0], [940.0])),
+        ((40.0, 960.0), (60.0, 940.0)),
+    ]:
+        with pytest.raises(ValueError) as error:
+            pbc(cand, control)
+        assert "\n" not in str(error.value)
+
+
+@pytest.mark.parametrize("pbc", [prob_beats_control, simstats.pbc_upper_bound])
+@pytest.mark.parametrize("position", range(4))
+def test_pbc_batch_shapes_must_be_positive_and_finite(pbc, position):
+    # Checked as BetaPosterior checks the single form, before any
+    # quadrature: an infinite shape would otherwise integrate to a PBC.
+    for bad in (0.0, -1.0, math.nan, math.inf):
+        shapes = [[3.0, 40.0], [4.0, 960.0], [5.0, 60.0], [6.0, 940.0]]
+        shapes[position][1] = bad
+        with pytest.raises(ValueError, match="positive and finite") as error:
+            pbc(shapes[:2], shapes[2:])
+        assert "\n" not in str(error.value)
 
 
 def test_aggregate_runs():
