@@ -3,11 +3,11 @@
 The first generation is every one-gene variant of the control; later
 generations keep the top-ranked elites (with their accumulated statistics)
 and refill the rest by uniform crossover of elite pairs plus per-gene
-mutation. The winner is the tested candidate with the highest probability
-to beat control. A genome is identified by its flat (C-order) index into
-the evaluator's landscape tensor, in breeding's duplicate check as
-everywhere else. Between generations a population is each slot's flat id
-and accumulated impression and conversion counts, as lists of Python ints.
+mutation; simstats.beat_control_winner picks the winner from a run's
+evidence. A genome is identified by its flat (C-order) index into the
+evaluator's landscape tensor, in breeding's duplicate check as everywhere
+else. Between generations a population is each slot's flat id and
+accumulated impression and conversion counts, as lists of Python ints.
 Breeding works on flat ids too: a gene adds its value index times its
 stride to the flat id, so crossover, mutation and the duplicate check never
 build genome rows. The tested genomes' rows are built only when read.
@@ -25,15 +25,7 @@ import numpy as np
 
 from .evaluator import Evaluator
 from .genome import Candidate, SearchSpace, _finite, _index, control
-from .simstats import (
-    PBC_TOL,
-    BetaPosterior,
-    global_prior,
-    pbc_upper_bound,
-    posterior,
-    prob_beats_control,
-    simulate_conversions,
-)
+from .simstats import BetaPosterior, global_prior, simulate_conversions
 
 
 @dataclass(frozen=True)
@@ -280,139 +272,15 @@ def _dedupe(flats: list, n_elites: int, nudges: list, strides, cards, rng) -> No
         flats[n] = flat
 
 
-def undominated(conversions: list[int], failures: list[int]) -> list[int]:
-    """Indices, ascending, of the count pairs that no other pair dominates.
-
-    Pair j dominates pair i when it has at least as many conversions and at
-    most as many failures, and the pairs differ; exactly equal pairs are all
-    kept. One sweep in order of conversions descending, then failures
-    ascending: a pair is undominated exactly when it has fewer failures than
-    the last pair kept, or equals it.
-    """
-    order = sorted(range(len(conversions)), key=lambda i: (-conversions[i], failures[i]))
-    front, last = [], None
-    for i in order:
-        pair = (conversions[i], failures[i])
-        if last is None or pair[1] < last[1] or pair == last:
-            front.append(i)
-            last = pair
-    return sorted(front)
-
-
-# The rounded key of a PBC of 1, which no PBC exceeds.
-_TOP_KEY = round(1.0 / PBC_TOL)
-
-
-def beat_control_winner(
-    cells: list[tuple[list[int], list[int], int, int]],
-) -> list[tuple[int | None, float]]:
-    """Per cell of evidence (impressions, conversions, ctrl_impressions,
-    ctrl_conversions): the index of the tested genome with the highest
-    probability to beat control (None for the control), and that
-    probability, under posteriors smoothed by the cell's pooled prior.
-    Element i of a cell's count lists is genome i's accumulated evidence;
-    conversions outside [0, impressions] are a ValueError.
-
-    The control is itself a tested candidate (PBC exactly 1/2 against its
-    own posterior), so nothing with worse evidence than the default can
-    win. PBC is compared in units of PBC_TOL, the accuracy it is computed
-    to, so clear winners near 1.0 tie whatever the quadrature's rounding;
-    posterior mean breaks those ties, and the earlier entry wins a full tie.
-
-    PBC is integrated only for the genomes that can still win. First, only
-    the undominated genomes: every genome shares the pooled prior, so one
-    with no fewer conversions and no more failures than another has a
-    stochastically larger posterior: no lower PBC and, counts differing, a
-    strictly higher mean. Then the front is integrated in two rounds, each
-    one prob_beats_control call over every cell's pairs, each pair against
-    its own cell's control, and no call for an empty round. Round 1
-    integrates each cell's leader, the front genome with the highest
-    pbc_upper_bound hi, then the highest mean, the earlier on a tie, if
-    its hi is at least 1/2 - 2 PBC_TOL. With p the leader's computed PBC
-    (1/2 if it was not integrated), one rule drops the genomes whose key
-    is surely below another's, and round 2 integrates the rest:
-
-    - a genome with hi < max(1/2, p) - 2 PBC_TOL is dropped;
-    - when p rounds to the top key, so is every genome whose posterior mean
-      is below the leader's. Equal means are kept, since the earlier index
-      wins a full tie.
-
-    Why the keys hold: a computed PBC is within e of the true one. The
-    quadrature's budget is PBC_TOL / 10 (the Kronrod and Gauss values'
-    disagreement plus the window tails' error bound, or the split pass's
-    shares per pair); on top come up to 1.5e-8 from scipy's betaln at
-    shapes near 3e6 and 7.1e-19 per split-pass piece from skipped nodes.
-    The rule needs only e < 4e-7, and hi's own rounding is far inside the
-    margin. A dropped genome computes below max(1/2, p) - 2 PBC_TOL + e,
-    more than PBC_TOL below the control's exact 1/2 or the leader's p, so
-    its rounded key is lower. A p at the top key, which no PBC (clipped to
-    1) exceeds, beats a lower mean with no error term. The leader is never
-    dropped: its hi >= its true PBC >= p - e. So a genome that beats every
-    other is never dropped, and the remaining genomes keep their tested
-    order. A pair's PBC does not depend on the rest of its batch, so each
-    cell's winner and its PBC are those of the full computation for that
-    cell alone.
-    """
-    genomes, spans, ctrl_means, alphas, betas, ctrl_alphas, ctrl_betas = [], [], [], [], [], [], []
-    for impressions, conversions, ctrl_impressions, ctrl_conversions in cells:
-        failures = [n - c for n, c in zip(impressions, conversions)]
-        if min(*conversions, *failures, ctrl_conversions, ctrl_impressions - ctrl_conversions) < 0:
-            raise ValueError("a cell has conversions outside [0, impressions]")
-        prior = global_prior(
-            sum(impressions) + ctrl_impressions, sum(conversions) + ctrl_conversions
-        )
-        ctrl_post = BetaPosterior(*posterior(prior, ctrl_impressions, ctrl_conversions))
-        front = undominated(conversions, failures)
-        # The cell's pair positions; genomes[i] is pair i's genome index.
-        spans.append(range(len(genomes), len(genomes) + len(front)))
-        genomes += front
-        ctrl_means.append(ctrl_post.mean)
-        # posterior()'s conjugate update, element by element on Python
-        # floats: the same IEEE operations as on count arrays.
-        alphas += [prior.alpha + conversions[i] for i in front]
-        betas += [prior.beta + failures[i] for i in front]
-        ctrl_alphas += [ctrl_post.alpha] * len(front)
-        ctrl_betas += [ctrl_post.beta] * len(front)
-    means = [a / (a + b) for a, b in zip(alphas, betas)]
-    highs = pbc_upper_bound((alphas, betas), (ctrl_alphas, ctrl_betas)).tolist()
-    pbcs = {}  # pair position -> computed PBC
-
-    def integrate(batch):
-        if batch:
-            pairs = ([alphas[i] for i in batch], [betas[i] for i in batch])
-            controls = ([ctrl_alphas[i] for i in batch], [ctrl_betas[i] for i in batch])
-            pbcs.update(zip(batch, prob_beats_control(pairs, controls).tolist()))
-
-    leaders = [max(span, key=lambda i: (highs[i], means[i]), default=None) for span in spans]
-    integrate([i for i in leaders if i is not None and highs[i] >= 0.5 - 2 * PBC_TOL])
-    kept = []
-    for span, lead in zip(spans, leaders):
-        p = pbcs.get(lead, 0.5)
-        keep = [i for i in span if highs[i] >= max(0.5, p) - 2 * PBC_TOL]
-        if round(p / PBC_TOL) == _TOP_KEY:
-            keep = [i for i in keep if means[i] >= means[lead]]
-        kept.append(keep)
-    integrate([i for keep in kept for i in keep if i not in pbcs])
-    winners = []
-    for ctrl_mean, keep in zip(ctrl_means, kept):
-        cell_pbcs = [0.5, *(pbcs[i] for i in keep)]
-        cell_means = [ctrl_mean, *(means[i] for i in keep)]
-        best = max(
-            range(len(cell_pbcs)), key=lambda i: (round(cell_pbcs[i] / PBC_TOL), cell_means[i])
-        )
-        winners.append(((genomes[keep[best - 1]] if best else None), cell_pbcs[best]))
-    return winners
-
-
 @dataclass(frozen=True)
 class EvolutionResult:
     """One run's evidence. `tested_ids`: the flat ids of the distinct
     genomes served, in first-tested order. `evidence`: this run's cell of
-    beat_control_winner's argument, (impressions, conversions,
+    simstats.beat_control_winner's argument, (impressions, conversions,
     ctrl_impressions, ctrl_conversions), the first two lists aligned to
-    `tested_ids`; the control's own share is counted apart. `records`
-    logs each generation, in order. The genome rows are built from the flat
-    ids when read."""
+    `tested_ids`; the control's own share is counted apart. `records` logs
+    each generation, in order. The genome rows are built from the ids when
+    read."""
 
     space: SearchSpace
     tested_ids: list[int]

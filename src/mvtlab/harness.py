@@ -25,15 +25,15 @@ from .evaluator import (
     check_weights,
     sample_evaluator,
 )
-from .evolution import (
-    EvolutionConfig,
-    EvolutionResult,
-    beat_control_winner,
-    init_population,
-    run_evolution,
-)
+from .evolution import EvolutionConfig, EvolutionResult, init_population, run_evolution
 from .genome import SearchSpace, _index
-from .simstats import aggregate_runs, allocate_evolution, allocate_taguchi, simulate_conversions
+from .simstats import (
+    aggregate_runs,
+    allocate_evolution,
+    allocate_taguchi,
+    beat_control_winner,
+    simulate_conversions,
+)
 from .taguchi import (
     OrthogonalArray,
     best_tested,
@@ -444,6 +444,8 @@ def configure(values: dict, base: ExperimentConfig | None = None) -> ExperimentC
     top: dict = {}
     nested: dict = {group: {} for group in _SUB_CONFIGS}
     for key, value in values.items():
+        if key not in _CONFIG_KEYS:
+            raise ValueError(f"unknown config key {key!r}")
         group, name = _CONFIG_KEYS[key]
         (nested[group] if group else top)[name] = value
     if base is None:

@@ -57,7 +57,7 @@ def test_traced_evolution_run(tracing):
         result = evolution.run_evolution(
             evaluator, plan, config, np.random.Generator(np.random.PCG64(0))
         )
-        evolution.beat_control_winner([result.evidence])
+        simstats.beat_control_winner([result.evidence])
     assert tracer.missing == []
     assert tracer.counts["evolution.tested"] == len(result.tested) > 0
     assert tracer.counts["evolution.slots"] == 3 * config.generations

@@ -11,13 +11,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from mvtlab import evolution
+from mvtlab import evolution, simstats
 from mvtlab.evaluator import LINEAR, brute_force_best, sample_evaluator
 from mvtlab.evolution import (
     EvolutionConfig,
     EvolutionResult,
     GenerationRecord,
-    beat_control_winner,
     crossover,
     init_population,
     mutate,
@@ -25,17 +24,15 @@ from mvtlab.evolution import (
     parent_pair,
     run_evolution,
     select_elites,
-    undominated,
 )
 from mvtlab.genome import Candidate, SearchSpace
 from mvtlab.harness import PRESETS
 from mvtlab.simstats import (
-    PBC_TOL,
     BetaPosterior,
     allocate_evolution,
+    beat_control_winner,
     global_prior,
     posterior,
-    prob_beats_control,
     simulate_conversions,
 )
 
@@ -441,7 +438,7 @@ def test_run_evolution_tested_totals_match_plan(monkeypatch):
         calls.append(cells)
         return beat_control_winner(cells)
 
-    monkeypatch.setattr(evolution, "beat_control_winner", spy)
+    monkeypatch.setattr(simstats, "beat_control_winner", spy)
     space = SearchSpace([3, 6, 2])
     plan = allocate_evolution(50_000, 8, 8)
     _, result = run_once(space, 3, total=50_000)
@@ -544,162 +541,6 @@ def test_winner_not_worse_than_initial_generation():
         if ev.true_cr(own_winner(result)[0]) >= best_initial:
             ok += 1
     assert ok >= 18
-
-
-def test_winner_near_one_ranked_by_posterior_mean():
-    # Both candidates beat the control almost surely. The heavily tested one
-    # has the higher PBC, by less than half a PBC_TOL step; the lightly
-    # tested one has the higher posterior mean and must win.
-    ctrl_imp, ctrl_conv = 100_000, 5_000
-    imp, conv = count_lists([(1_000_000, 60_000), (5_000, 334)])  # sure, better
-    prior = global_prior(sum(imp) + ctrl_imp, sum(conv) + ctrl_conv)
-    ctrl_post = BetaPosterior(*posterior(prior, ctrl_imp, ctrl_conv))
-    sure, better = (BetaPosterior(*posterior(prior, n, c)) for n, c in zip(imp, conv))
-    pbc_sure = prob_beats_control(sure, ctrl_post)
-    pbc_better = prob_beats_control(better, ctrl_post)
-    assert 0 < pbc_sure - pbc_better < PBC_TOL / 2
-    assert better.mean > sure.mean
-
-    [(winner, winner_pbc)] = beat_control_winner([(imp, conv, ctrl_imp, ctrl_conv)])
-    assert winner == 1
-    assert winner_pbc == pbc_better  # reported unrounded
-
-
-def test_winner_defaults_to_control():
-    imp, conv = count_lists([(10_000, 300)])
-    assert beat_control_winner([(imp, conv, 10_000, 600)]) == [(None, 0.5)]
-    assert beat_control_winner([]) == []
-
-
-@pytest.mark.parametrize(
-    "cell",
-    [
-        ([10, 1000], [12, 50], 1000, 40),  # 12 conversions in 10 impressions
-        ([10, 1000], [200, 0], 1000, 0),  # a negative beta: hi would be NaN
-        ([10, 1000], [-1, 50], 1000, 40),
-        ([10, 1000], [5, 50], 1000, 1001),
-        ([10, 1000], [5, 50], 1000, -1),
-    ],
-)
-def test_winner_rejects_conversions_outside_impressions(cell):
-    good = ([10, 1000], [5, 50], 1000, 40)
-    with pytest.raises(ValueError, match="outside") as error:
-        beat_control_winner([good, cell])
-    assert "\n" not in str(error.value)
-
-
-@given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), max_size=30))
-def test_undominated_equals_dominance_definition(pairs):
-    conv = [c for c, _ in pairs]
-    fail = [f for _, f in pairs]
-
-    def dominated(i):
-        return any(
-            conv[j] >= conv[i] and fail[j] <= fail[i] and pairs[j] != pairs[i]
-            for j in range(len(pairs))
-        )
-
-    assert undominated(conv, fail) == [i for i in range(len(pairs)) if not dominated(i)]
-
-
-def full_winner(imp, conv, ctrl_imp, ctrl_conv):
-    """beat_control_winner's key over every tested genome, with no pruning."""
-    prior = global_prior(sum(imp) + ctrl_imp, sum(conv) + ctrl_conv)
-    ctrl_post = BetaPosterior(*posterior(prior, ctrl_imp, ctrl_conv))
-    posts = [BetaPosterior(*posterior(prior, n, c)) for n, c in zip(imp, conv)]
-    alphas, betas = [p.alpha for p in posts], [p.beta for p in posts]
-    ctrls = [ctrl_post.alpha] * len(posts), [ctrl_post.beta] * len(posts)
-    pbcs = [0.5, *prob_beats_control((alphas, betas), ctrls).tolist()]
-    means = [ctrl_post.mean, *(p.mean for p in posts)]
-    best = max(range(len(pbcs)), key=lambda i: (round(pbcs[i] / PBC_TOL), means[i]))
-    return (best - 1 if best else None), pbcs[best]
-
-
-count_pairs = st.integers(10, 1_000_000).flatmap(
-    lambda n: st.tuples(st.just(n), st.integers(0, int(0.3 * n)))
-)
-
-
-def case(pairs, ctrl_pair):
-    """(impressions, conversions, control impressions, control conversions)."""
-    return (*count_lists(pairs), *ctrl_pair)
-
-
-@st.composite
-def winner_cases(draw):
-    # Genomes draw their counts from a small pool, so exact-count ties (and
-    # so identical posteriors) are common.
-    pool = draw(st.lists(count_pairs, min_size=1, max_size=5))
-    picks = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=12))
-    return case(picks, draw(count_pairs))
-
-
-# Cells in which the pruning rule drops a front genome: (cell, front
-# genomes whose PBC is integrated).
-RULE_CASES = [
-    # Top key: both his are 1.0, so the first genome, the higher mean, leads;
-    # its PBC (1 - 1.8e-11) rounds to the top key, and the second's mean is
-    # lower, though its PBC (1.0) is the higher.
-    (case([(1_000, 200), (1_000_000, 100_000)], (10_000, 100)), 1),
-    # The leader's PBC: the second genome's hi (0.85) is below the PBC that
-    # round 1 computes for the first, the leader (0.99998).
-    (case([(100_000, 6_000), (1_000, 52)], (10_000, 500)), 1),
-    # The control's 1/2: both his (0.24 and 0.41) are below it, so not even
-    # the leader is integrated, and no call is made.
-    (case([(1_000, 40), (2_000, 90)], (10_000, 500)), 0),
-    # The leader's PBC, above hi: the first genome's hi (0.75337) clears the
-    # control's 1/2, but not the PBC of the second, the leader (0.943).
-    (case([(1_000, 50), (10_000, 550)], (10_000, 500)), 1),
-    # Top key against a hi that clears the threshold: the second genome's
-    # hi (1 - 4.2e-7) is within 2 PBC_TOL of the leader's PBC, but the
-    # first, the leader, computes 1 - 2.4e-7, the top key, and the second's
-    # mean is lower.
-    (case([(2_000, 160), (10_000, 650)], (10_000, 500)), 1),
-]
-
-PLANTED_CASES = [
-    case([(1_000, 30)], (1_000, 50)),
-    case([(441_053, 0)] * 3, (10, 0)),
-    case([(1_529, 1)], (10, 1)),
-    case([(1_000, 10), (2_000, 30)], (8_000, 400)),  # all dominated by the control
-    # planted exact ties, also with the strongest genome
-    case([(5_000, 240), (5_000, 250), (5_000, 250), (5_000, 250)], (5_000, 200)),
-    *(cell for cell, _ in RULE_CASES),
-    # The second genome leads on hi (1.0) and computes the top key. The
-    # first, with the higher mean, survives the rule (hi 0.9999996) and is
-    # integrated in round 2, where its PBC (0.99993) falls short of the top
-    # key, so the second must still win on its PBC.
-    case([(2_000, 140), (1_000_000, 60_000)], (100_000, 5_000)),
-]
-
-
-@settings(max_examples=150, deadline=None)
-@given(st.lists(winner_cases(), min_size=1, max_size=4))
-@example(PLANTED_CASES)
-@example(PLANTED_CASES[::-1])
-def test_pruned_winner_equals_full_computation(cases):
-    # Cells picked together, in one beat-control pass, each get the winner
-    # and PBC of the full computation over that cell alone.
-    assert beat_control_winner(cases) == [full_winner(*case) for case in cases]
-
-
-@pytest.mark.parametrize("cell, integrated", RULE_CASES)
-def test_bound_rules_drop_front_genomes(cell, integrated):
-    # Each planted cell's front holds two genomes; a spy on the
-    # prob_beats_control calls of both rounds sees how many were
-    # integrated, so the rule must really have fired for the winner check
-    # to mean anything.
-    imp, conv, _, _ = cell
-    assert len(undominated(conv, [n - c for n, c in zip(imp, conv)])) == 2
-    sizes = []
-
-    def spy(cand, control):
-        sizes.append(len(cand[0]))
-        return prob_beats_control(cand, control)
-
-    with mock.patch.object(evolution, "prob_beats_control", spy):
-        assert beat_control_winner([cell]) == [full_winner(*cell)]
-    assert len(sizes) <= 2 and sum(sizes) == integrated
 
 
 def test_ledger_sums_every_generations_draws(monkeypatch):

@@ -15,7 +15,7 @@ import pytest
 import scipy
 
 import mvtlab
-from mvtlab import cli, evolution, harness, simstats
+from mvtlab import cli, harness, simstats
 from mvtlab.cli import main as cli_main
 from mvtlab.evaluator import (
     LINEAR,
@@ -24,7 +24,7 @@ from mvtlab.evaluator import (
     brute_force_best,
     sample_evaluator,
 )
-from mvtlab.evolution import EvolutionConfig, beat_control_winner
+from mvtlab.evolution import EvolutionConfig
 from mvtlab.genome import SearchSpace
 from mvtlab.harness import (
     CURVES,
@@ -42,7 +42,12 @@ from mvtlab.harness import (
     run_taguchi_arm,
     sweep,
 )
-from mvtlab.simstats import aggregate_runs, allocate_evolution, prob_beats_control
+from mvtlab.simstats import (
+    aggregate_runs,
+    allocate_evolution,
+    beat_control_winner,
+    prob_beats_control,
+)
 from mvtlab.taguchi import load_bundled_array
 
 SMOKE = dict(traffic=(2_000, 20_000), repetitions=3)
@@ -447,7 +452,7 @@ def test_repetition_winners_equal_one_cell_calls(monkeypatch):
         split.append(len(a))
         return upper_prob_split(a, *shapes)
 
-    monkeypatch.setattr(evolution, "prob_beats_control", count_pairs)
+    monkeypatch.setattr(simstats, "prob_beats_control", count_pairs)
     monkeypatch.setattr(simstats, "_upper_prob_split", count_split)
     for cells, winners in batches:
         assert len(cells) == len(config.traffic)
@@ -534,6 +539,13 @@ def test_parse_config_errors():
         parse_config("space = [2,2]\nseed = 1\nseed = 2")
     with pytest.raises(ValueError, match="^line 2: key 'space' already set on line 1$"):
         parse_config("space = [2,2]\nspace = [2,2]")
+
+
+def test_configure_rejects_unknown_keys():
+    # configure's own callers pass keys with no line to name.
+    for base in (PRESETS["setting1-linear"], None):
+        with pytest.raises(ValueError, match="^unknown config key 'bogus'$"):
+            harness.configure({"space": [2, 2], "bogus": 1}, base)
 
 
 def test_every_config_key_reaches_its_field():
