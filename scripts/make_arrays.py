@@ -10,7 +10,6 @@ steps: a strength-2 base with six 2-level and five 3-level columns
 merges that fuse a 2-level and a 3-level column into a 6-level one.
 """
 
-import itertools
 import sys
 from pathlib import Path
 

@@ -24,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .evaluator import Evaluator
-from .genome import Candidate, SearchSpace, _finite, _index, control
+from .genome import SearchSpace, _finite, _index
 from .simstats import BetaPosterior, global_prior, simulate_conversions
 
 
@@ -279,8 +279,8 @@ class EvolutionResult:
     simstats.beat_control_winner's argument, (impressions, conversions,
     ctrl_impressions, ctrl_conversions), the first two lists aligned to
     `tested_ids`; the control's own share is counted apart. `records` logs
-    each generation, in order. The genome rows are built from the ids when
-    read."""
+    each generation, in order. A winner index i names flat id tested_ids[i],
+    None the control's, 0; the genome rows are built from the ids when read."""
 
     space: SearchSpace
     tested_ids: list[int]
@@ -292,13 +292,6 @@ class EvolutionResult:
         """The tested genomes as an (n, variables) int array, one row per
         element of tested_ids."""
         return np.transpose(_unravel(self.tested_ids, self.space))
-
-    def candidate(self, index: int | None) -> Candidate:
-        """The tested genome a beat_control_winner index names; the control
-        for None."""
-        if index is None:
-            return control(self.space)
-        return Candidate(_unravel(self.tested_ids[index], self.space))
 
 
 def run_evolution(

@@ -180,43 +180,44 @@ def _evaluator_for(config: ExperimentConfig, rep: int) -> Evaluator:
 def run_taguchi_arm(
     array: OrthogonalArray,
     evaluator: Evaluator,
-    total_traffic: int,
+    allocation: tuple[int, ...],
     rng: np.random.Generator,
     true_crs: list[float],
 ) -> dict[str, float]:
-    """Spread traffic evenly over the array rows, observe conversions, score
-    rows by observed rate, and read off the predicted-best and best-tested
-    candidates' true conversion rates, plus the impression-weighted true
-    conversion rate of all traffic served. `true_crs` is the list of the
-    rows' true conversion rates, as evaluator.true_crs gives them."""
+    """Serve each array row its impressions in `allocation`, score rows by
+    observed rate, and return the measurements by name: the true conversion
+    rates of the predicted-best genome and of the best-tested row, and the
+    impression-weighted one of the traffic served. The rows are served at,
+    and the best row's rate read from, `true_crs` (as evaluator.true_crs
+    gives them); only the never-served prediction goes through true_cr."""
     if array.column_levels != evaluator.space.cardinalities:
         raise ValueError(
             f"array levels {array.column_levels} do not match "
             f"space {evaluator.space.cardinalities}"
         )
-    allocation = allocate_taguchi(total_traffic, array.n_rows)
     conversions = simulate_conversions(true_crs, allocation, rng)
     scores = [c / n for c, n in zip(conversions, allocation)]
     return {
         "predict_cr": evaluator.true_cr(predict_best(array, scores)),
-        "candidate_cr": evaluator.true_cr(best_tested(array, scores)),
-        "taguchi_served": _served_average(allocation, true_crs, total_traffic),
+        "candidate_cr": true_crs[best_tested(array, scores)],
+        "taguchi_served": _served_average(allocation, true_crs, sum(allocation)),
     }
 
 
 def run_evolution_arm(
-    config: ExperimentConfig,
+    config: EvolutionConfig,
     evaluator: Evaluator,
     plan: tuple[tuple[int, ...], ...],
     rng: np.random.Generator,
-) -> tuple[EvolutionResult, float]:
+) -> tuple[EvolutionResult, dict[str, float]]:
     """Run the evolutionary optimizer on the traffic plan, the impressions
     of each slot per generation: its result, whose winner
-    beat_control_winner picks, and the impression-weighted true conversion
-    rate of all traffic served."""
-    result = run_evolution(evaluator, plan, config.evolution, rng)
+    beat_control_winner picks, and its measurements by name, the
+    impression-weighted true conversion rate of the plan's traffic (the
+    control's own impressions left out)."""
+    result = run_evolution(evaluator, plan, config, rng)
     crs = chain.from_iterable(r.true_crs for r in result.records)
-    return result, _served_average(chain(*plan), crs, sum(map(sum, plan)))
+    return result, {"evolution_served": _served_average(chain(*plan), crs, sum(map(sum, plan)))}
 
 
 def _served_average(impressions, crs, total_traffic: int) -> float:
@@ -234,21 +235,25 @@ def sweep(config: ExperimentConfig) -> dict[str, np.ndarray]:
     shape (repetitions, traffic levels). A cell's measurements are the keys
     its two arms return, plus the evolution winner's true conversion rate
     `winner_cr` when the config's curve reads it; both arms of a cell share
-    the evaluator and total traffic.
+    the evaluator and the traffic level.
 
     Repetitions run outermost, so each repetition's landscape is built once
     and serves every traffic level; every cell still has its own seeds. A
     fixed evaluator is repetition 0's landscape, built once for the sweep.
     A repetition's evolution winners are picked together, in one
     beat_control_winner call over its cells, and not at all for a curve
-    that does not read them. Each traffic level's evolution plan is built
+    that does not read them; a winner's rate is read off the landscape at
+    its flat id, the control's 0. Each traffic level's two plans are built
     once, as tuples that no cell can change, and the array rows' true
     conversion rates are read once per landscape."""
     array = config.load_design()
     picks_winner = "winner_cr" in CURVES[config.curve].values()
     pop_size = len(init_population(config.space))
     plans = [
-        tuple(map(tuple, allocate_evolution(total, config.evolution.generations, pop_size)))
+        (
+            tuple(allocate_taguchi(total, array.n_rows)),
+            tuple(map(tuple, allocate_evolution(total, config.evolution.generations, pop_size))),
+        )
         for total in config.traffic
     ]
     table = []  # per repetition, its cells in traffic order
@@ -257,20 +262,19 @@ def sweep(config: ExperimentConfig) -> dict[str, np.ndarray]:
         if evaluator is None or not config.fixed_evaluator:
             evaluator = _evaluator_for(config, rep)
             row_crs = evaluator.true_crs(array.rows).tolist()
+            landscape = evaluator.table.ravel()
         cells, results = [], []
-        for t_idx, total in enumerate(config.traffic):
+        for t_idx, (allocation, plan) in enumerate(plans):
             tag_rng = np.random.default_rng([config.master_seed, 202, t_idx, rep])
             evo_rng = np.random.default_rng([config.master_seed, 303, t_idx, rep])
-            cell = run_taguchi_arm(array, evaluator, total, tag_rng, row_crs)
-            result, cell["evolution_served"] = run_evolution_arm(
-                config, evaluator, plans[t_idx], evo_rng
-            )
-            cells.append(cell)
+            cell = run_taguchi_arm(array, evaluator, allocation, tag_rng, row_crs)
+            result, measured = run_evolution_arm(config.evolution, evaluator, plan, evo_rng)
+            cells.append({**cell, **measured})
             results.append(result)
         if picks_winner:
             winners = beat_control_winner([result.evidence for result in results])
             for cell, result, (best, _) in zip(cells, results, winners):
-                cell["winner_cr"] = evaluator.true_cr(result.candidate(best))
+                cell["winner_cr"] = landscape[0 if best is None else result.tested_ids[best]]
         table.append(cells)
     # Each measurement's cells, stacked as (repetitions, traffic levels).
     return {name: np.array([[c[name] for c in row] for row in table]) for name in table[0][0]}

@@ -202,9 +202,9 @@ def predict_best(a: OrthogonalArray, scores) -> Candidate:
     return Candidate([int(np.argmax(means)) for means in effect_table(a, scores)])
 
 
-def best_tested(a: OrthogonalArray, scores) -> Candidate:
-    """The highest-scoring row actually in the array; earliest row on ties."""
-    return a.row_candidate(int(np.argmax(_row_scores(a, scores))))
+def best_tested(a: OrthogonalArray, scores) -> int:
+    """The index of the highest-scoring array row; the earliest on ties."""
+    return int(np.argmax(_row_scores(a, scores)))
 
 
 def _row_scores(a: OrthogonalArray, scores) -> np.ndarray:

@@ -5,14 +5,13 @@ the default traffic sweep) through the session fixtures in conftest.py;
 everything is seeded and deterministic.
 """
 
-import math
 import time
 
 import numpy as np
 import pytest
 
 from mvtlab.evaluator import LINEAR, brute_force_best, sample_evaluator
-from mvtlab.evolution import EvolutionConfig, init_population, run_evolution
+from mvtlab.evolution import EvolutionConfig, run_evolution
 from mvtlab.genome import SearchSpace
 from mvtlab.harness import PRESETS, run_experiment
 from mvtlab.simstats import (

@@ -401,9 +401,11 @@ def run_once(space, seed, total=100_000, cfg=None):
 
 def own_winner(result):
     """A run's own winner and its PBC, picked by beat_control_winner from
-    the run's evidence alone."""
+    the run's evidence alone; the winner's flat id, the control's 0 for
+    None, decoded into a Candidate."""
     [(best, pbc)] = beat_control_winner([result.evidence])
-    return result.candidate(best), pbc
+    flat = 0 if best is None else result.tested_ids[best]
+    return Candidate(np.unravel_index(flat, result.space.cardinalities)), pbc
 
 
 def test_run_evolution_structure():
@@ -480,17 +482,18 @@ def test_records_log_each_generations_lists():
 
 def test_tested_rows_and_candidates_unravel_the_flat_ids():
     # The tested rows are built on first access from the flat ids, and a
-    # winner index names the same genome either way.
+    # winner index names the same genome either way: the landscape at a
+    # tested flat id is that row's true rate, and flat id 0 the control's.
     space = SearchSpace([3, 6, 2])
-    _, result = run_once(space, 5, total=50_000)
+    ev, result = run_once(space, 5, total=50_000)
     assert "tested" not in vars(result)
     expected = genome_rows(result.tested_ids, space)
     assert result.tested.tolist() == expected
     assert result.tested is result.tested
+    landscape = ev.table.ravel()
     for i in range(len(result.tested_ids)):
-        assert result.candidate(i) == Candidate(result.tested[i])
-        assert result.candidate(i).choices == tuple(expected[i])
-    assert result.candidate(None) == Candidate([0, 0, 0])
+        assert landscape[result.tested_ids[i]] == ev.true_cr(Candidate(result.tested[i]))
+    assert landscape[0] == ev.bias
 
 
 def test_run_evolution_determinism():

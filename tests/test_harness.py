@@ -25,7 +25,7 @@ from mvtlab.evaluator import (
     sample_evaluator,
 )
 from mvtlab.evolution import EvolutionConfig
-from mvtlab.genome import SearchSpace
+from mvtlab.genome import Candidate, SearchSpace, control
 from mvtlab.harness import (
     CURVES,
     DEFAULT_TRAFFIC_SWEEP,
@@ -45,6 +45,7 @@ from mvtlab.harness import (
 from mvtlab.simstats import (
     aggregate_runs,
     allocate_evolution,
+    allocate_taguchi,
     beat_control_winner,
     prob_beats_control,
 )
@@ -174,7 +175,7 @@ def test_taguchi_arm_array_space_mismatch():
     ev = sample_evaluator(SearchSpace([3, 3, 3, 3]), LINEAR, seed=0)
     rng = np.random.Generator(np.random.PCG64(0))
     with pytest.raises(ValueError):
-        run_taguchi_arm(array, ev, 1000, rng, [0.05] * array.n_rows)
+        run_taguchi_arm(array, ev, (250,) * 4, rng, [0.05] * array.n_rows)
 
 
 def test_taguchi_arm_noiseless_predict_hits_oracle():
@@ -186,7 +187,8 @@ def test_taguchi_arm_noiseless_predict_hits_oracle():
     for seed in range(10):
         ev = sample_evaluator(space, LINEAR, seed=seed)
         rng = np.random.Generator(np.random.PCG64(seed))
-        result = run_taguchi_arm(array, ev, 90_000_000, rng, ev.true_crs(array.rows).tolist())
+        allocation = allocate_taguchi(90_000_000, array.n_rows)
+        result = run_taguchi_arm(array, ev, allocation, rng, ev.true_crs(array.rows).tolist())
         _, opt = brute_force_best(ev)
         hits += result["predict_cr"] == pytest.approx(opt)
     assert hits >= 9
@@ -202,7 +204,7 @@ def test_taguchi_served_average_adds_left_to_right():
     left_to_right = ((0.1 + 0.2) + 0.3) + 0.05
     assert left_to_right / 4 != math.fsum(crs) / 4
     rng = np.random.Generator(np.random.PCG64(0))
-    result = run_taguchi_arm(array, ev, 4, rng, crs)
+    result = run_taguchi_arm(array, ev, allocate_taguchi(4, array.n_rows), rng, crs)
     assert result["taguchi_served"] == left_to_right / 4
 
 
@@ -214,7 +216,8 @@ def test_evolution_served_average_adds_left_to_right():
     config = PRESETS["setting1-linear"]
     ev = sample_evaluator(config.space, LINEAR, seed=0)
     plan = tuple(map(tuple, allocate_evolution(1_000, 8, 3)))
-    result, served = run_evolution_arm(config, ev, plan, np.random.default_rng(0))
+    result, measured = run_evolution_arm(config.evolution, ev, plan, np.random.default_rng(0))
+    served = measured["evolution_served"]
     terms = [
         n * cr for slots, record in zip(plan, result.records, strict=True)
         for n, cr in zip(slots, record.true_crs, strict=True)
@@ -397,33 +400,68 @@ def test_fixed_sweep_builds_one_evaluator(monkeypatch):
         evaluator = sample_evaluator(*built[0])
         row_crs = evaluator.true_crs(array.rows).tolist()
         for t_idx, total in enumerate(config.traffic):
-            measured = run_taguchi_arm(
-                array, evaluator, total, cell_rng(config.master_seed, 202, t_idx, rep), row_crs
-            )
+            allocation = allocate_taguchi(total, array.n_rows)
+            tag_rng = cell_rng(config.master_seed, 202, t_idx, rep)
+            measured = run_taguchi_arm(array, evaluator, allocation, tag_rng, row_crs)
             plan = allocate_evolution(total, config.evolution.generations, pop_size)
-            result, measured["evolution_served"] = run_evolution_arm(
-                config, evaluator, plan, cell_rng(config.master_seed, 303, t_idx, rep)
+            result, evolved = run_evolution_arm(
+                config.evolution, evaluator, plan, cell_rng(config.master_seed, 303, t_idx, rep)
             )
+            measured.update(evolved)
             # This cell's winner alone, not in its repetition's batch.
             [(best, _)] = beat_control_winner([result.evidence])
-            measured["winner_cr"] = evaluator.true_cr(result.candidate(best))
+            winner = control(config.space) if best is None else Candidate(result.tested[best])
+            measured["winner_cr"] = evaluator.true_cr(winner)
             assert sorted(measured) == sorted(cells)
             for name, value in measured.items():
                 assert cells[name][rep, t_idx] == value, (name, rep, t_idx)
 
 
 def test_sweep_builds_one_plan_per_traffic_level(monkeypatch):
-    # Each level's evolution plan serves every repetition's cell at it.
+    # Each level's two plans, the Taguchi split and the evolution plan,
+    # serve every repetition's cell at it.
     config = smoke_config("setting1-linear")
-    levels = []
+    config.load_design()  # its check of the smallest level's split, made once
+    levels = {"taguchi": [], "evolution": []}
 
-    def spy(total, *args):
-        levels.append(total)
-        return allocate_evolution(total, *args)
+    def spy(arm, allocate):
+        def spied(total, *args):
+            levels[arm].append(total)
+            return allocate(total, *args)
 
-    monkeypatch.setattr(harness, "allocate_evolution", spy)
+        return spied
+
+    monkeypatch.setattr(harness, "allocate_taguchi", spy("taguchi", allocate_taguchi))
+    monkeypatch.setattr(harness, "allocate_evolution", spy("evolution", allocate_evolution))
     sweep(config)
-    assert levels == list(config.traffic)
+    assert levels == {"taguchi": list(config.traffic), "evolution": list(config.traffic)}
+
+
+def test_an_arm_key_is_a_measurement_with_no_other_edit(monkeypatch):
+    # Each arm names its own measurements, and sweep names only winner_cr,
+    # for the comparison curve alone: a key an arm adds reaches the table.
+    taguchi_arm, evolution_arm = harness.run_taguchi_arm, harness.run_evolution_arm
+    returned = set()
+
+    def taguchi_extra(*args):
+        measured = {**taguchi_arm(*args), "taguchi_extra": 0.25}
+        returned.update(measured)
+        return measured
+
+    def evolution_extra(*args):
+        result, measured = evolution_arm(*args)
+        measured = {**measured, "evolution_extra": 0.5}
+        returned.update(measured)
+        return result, measured
+
+    monkeypatch.setattr(harness, "run_taguchi_arm", taguchi_extra)
+    monkeypatch.setattr(harness, "run_evolution_arm", evolution_extra)
+    for curve, named in (("comparison", {"winner_cr"}), ("during", set())):
+        returned.clear()
+        cells = sweep(smoke_config("setting1-linear", curve=curve))
+        assert {"taguchi_extra", "evolution_extra"} <= returned
+        assert set(cells) == returned | named, curve
+        assert np.all(cells["taguchi_extra"] == 0.25) and np.all(cells["evolution_extra"] == 0.5)
 
 
 def test_repetition_winners_equal_one_cell_calls(monkeypatch):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mvtlab.evaluator import LINEAR, brute_force_best, sample_evaluator
-from mvtlab.genome import Candidate, SearchSpace
+from mvtlab.genome import SearchSpace
 from mvtlab.taguchi import (
     ArrayFormatError,
     ArrayValidationError,
@@ -240,12 +240,15 @@ def test_noiseless_linear_predict_matches_oracle(nine_row):
 
 
 def test_best_tested(nine_row):
-    assert best_tested(nine_row, [0] * 8 + [1]).choices == (2, 2, 2, 0)
-    assert best_tested(nine_row, [0.5] * 9) == nine_row.row_candidate(0)
+    # The best row's index, as a Python int: here the last row, (2, 2, 2, 0).
+    best = best_tested(nine_row, [0] * 8 + [1])
+    assert type(best) is int and best == 8
+    assert nine_row.row_candidate(best).choices == (2, 2, 2, 0)
+    assert best_tested(nine_row, [0.5] * 9) == 0
     ev = sample_evaluator(SearchSpace([3, 3, 3, 3]), LINEAR, seed=42)
     scores = [ev.true_cr(nine_row.row_candidate(r)) for r in range(9)]
     expect = max(range(9), key=lambda r: scores[r])
-    assert best_tested(nine_row, scores) == nine_row.row_candidate(expect)
+    assert best_tested(nine_row, scores) == expect
 
 
 @pytest.fixture
