@@ -34,9 +34,8 @@ def cmd_run(args) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    outputs = run_experiment(config)
-    for kind in ("csv", "svg", "manifest"):
-        print(f"{kind}: {outputs[kind]}")
+    for kind, path in run_experiment(config).items():
+        print(f"{kind}: {path}")
     return 0
 
 

@@ -101,15 +101,20 @@ class Evaluator:
                 raise ValueError(f"main-effect table size mismatch at variable {i}")
             if table[0] != 0.0:
                 raise ValueError(f"main effect of control value must be 0 (variable {i})")
-        for j, k in self.interactions:
+        pairs = {}  # the interaction tables as arrays, converted once
+        for (j, k), table in self.interactions.items():
             if not 0 <= j < k < len(cards):
                 raise ValueError(f"interaction key {(j, k)} is not a variable pair j < k")
-            if np.shape(self.interactions[(j, k)]) != (cards[j], cards[k]):
+            pairs[j, k] = table = np.asarray(table)
+            if table.shape != (cards[j], cards[k]):
                 raise ValueError(f"interaction table size mismatch at pair {(j, k)}")
+            # np.count_nonzero takes about half the time of ndarray.any() here.
+            if np.count_nonzero(table[0]) or np.count_nonzero(table[:, 0]):
+                raise ValueError(f"interaction of a control value must be 0 (pair {(j, k)})")
         check_landscape_size(self.space)
-        object.__setattr__(self, "table", self._landscape())
+        object.__setattr__(self, "table", self._landscape(pairs))
 
-    def _landscape(self) -> np.ndarray:
+    def _landscape(self, pairs: dict) -> np.ndarray:
         # Same float64 additions in the same order as summing one candidate's
         # terms (bias, main effects by variable, pairs in table order), so
         # every cell equals that per-candidate sum bit for bit. The main
@@ -120,10 +125,10 @@ class Evaluator:
         cr = self.bias + np.asarray(first, dtype=float)
         for table in rest:
             cr = np.add.outer(cr, table)
-        for (j, k), table in self.interactions.items():
+        for (j, k), table in pairs.items():
             shape = [1] * len(cards)
             shape[j], shape[k] = cards[j], cards[k]
-            cr += np.reshape(table, shape)
+            cr += table.reshape(shape)
         return np.clip(cr, CR_FLOOR, CR_CEIL)
 
     def true_cr(self, c: Candidate) -> float:

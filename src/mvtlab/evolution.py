@@ -61,13 +61,7 @@ class GenerationRecord(NamedTuple):
     @property
     def genomes(self) -> np.ndarray:
         """The slots' genomes as an (n, variables) int array, built when read."""
-        return np.transpose(_unravel(self.ids, self.space))
-
-
-def _unravel(ids, space: SearchSpace) -> tuple:
-    """Each variable's value index in the genomes that flat ids name: an int
-    per variable for an id, an array per variable for a list of ids."""
-    return np.unravel_index(ids, space.cardinalities)
+        return np.transpose(np.unravel_index(self.ids, self.space.cardinalities))
 
 
 def init_population(space: SearchSpace) -> np.ndarray:
@@ -291,7 +285,7 @@ class EvolutionResult:
     def tested(self) -> np.ndarray:
         """The tested genomes as an (n, variables) int array, one row per
         element of tested_ids."""
-        return np.transpose(_unravel(self.tested_ids, self.space))
+        return np.transpose(np.unravel_index(self.tested_ids, self.space.cardinalities))
 
 
 def run_evolution(

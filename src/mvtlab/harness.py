@@ -40,6 +40,7 @@ from .taguchi import (
     load_array,
     load_bundled_array,
     predict_best,
+    save_array,
 )
 
 DEFAULT_TRAFFIC_SWEEP = (
@@ -395,7 +396,7 @@ def config_digest(config: ExperimentConfig) -> str:
 
 def run_experiment(config: ExperimentConfig) -> dict:
     """Run a configured experiment and write CSV, SVG, and a JSON manifest
-    into the output directory. Returns the output paths."""
+    into the output directory. Returns their paths by kind, in that order."""
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     series = result_series(config, sweep(config))
@@ -408,6 +409,8 @@ def run_experiment(config: ExperimentConfig) -> dict:
         "name": config.name,
         "seed": config.master_seed,
         "config_sha256": config_digest(config),
+        # config_sha256 hashes the array's name or path, not the rows it held.
+        "design_sha256": hashlib.sha256(save_array(config.load_design()).encode()).hexdigest(),
         "mvtlab_version": __version__,
         # The served averages add left to right in an explicit loop, so they
         # do not follow sum(), which compensates floats from Python 3.12 on.
@@ -417,7 +420,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
         "scipy_version": scipy.__version__,
     }
     manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    return {"csv": csv_path, "svg": svg_path, "manifest": manifest_path, "series": series}
+    return {"csv": csv_path, "svg": svg_path, "manifest": manifest_path}
 
 
 # ExperimentConfig's sub-config fields -> their dataclasses.

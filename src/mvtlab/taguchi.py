@@ -52,9 +52,6 @@ class OrthogonalArray:
     def n_columns(self) -> int:
         return len(self.column_levels)
 
-    def row_candidate(self, index: int) -> Candidate:
-        return Candidate(self.rows[index])
-
 
 @dataclass(frozen=True)
 class PropertyCheck:

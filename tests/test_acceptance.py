@@ -60,7 +60,7 @@ def test_criterion_2_noiseless_linear_exactness():
     exact = 0
     for seed in range(100):
         ev = sample_evaluator(space, LINEAR, seed=seed)
-        scores = [ev.true_cr(nine.row_candidate(r)) for r in range(9)]
+        scores = ev.true_crs(nine.rows).tolist()
         oracle, _ = brute_force_best(ev)
         exact += predict_best(nine, scores) == oracle
     elapsed = time.perf_counter() - start

@@ -71,6 +71,17 @@ def test_control_entry_pinning_enforced():
             bias=0.05,
             main_effects=((0.1, 0.0), (0.0, 0.0)),
         )
+    # A pair table's control row and column are pinned too, so the
+    # control's true rate is the bias.
+    zero = ((0.0, 0.0), (0.0, 0.0))
+    for table in (((0.02, 0.0), (0.0, 0.0)), ((0.0, 0.02), (0.0, 0.0)), ((0.0, 0.0), (0.02, 0.0))):
+        with pytest.raises(ValueError, match=r"pair \(0, 1\)"):
+            Evaluator(
+                space=SearchSpace([2, 2]),
+                bias=0.05,
+                main_effects=zero,
+                interactions={(0, 1): table},
+            )
 
 
 def test_clamp_bounds():

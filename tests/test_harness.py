@@ -346,14 +346,30 @@ def test_emit_svg_rejects_empty_series(tmp_path):
 def test_run_experiment_outputs(tmp_path):
     cfg = smoke_config("setting1-linear", out_dir=str(tmp_path))
     outputs = run_experiment(cfg)
+    assert list(outputs) == ["csv", "svg", "manifest"]
     for kind in ("csv", "svg", "manifest"):
         assert outputs[kind].exists()
     manifest = json.loads(outputs["manifest"].read_text())
     assert manifest["seed"] == cfg.master_seed
     assert len(manifest["config_sha256"]) == 64
+    assert len(manifest["design_sha256"]) == 64
     assert manifest["scipy_version"] == scipy.__version__
     assert manifest["mvtlab_version"] == mvtlab.__version__
     assert manifest["python_version"] == platform.python_version()
+
+
+def test_manifest_records_the_design_it_ran(tmp_path):
+    # An array file edited in place keeps its path, so the config's digest,
+    # but not the design's.
+    path = tmp_path / "design.txt"
+    digests = []
+    for rows in ("0 0 0\n0 1 1\n1 0 1\n1 1 0\n", "1 1 0\n1 0 1\n0 1 1\n0 0 0\n"):
+        path.write_text("2 2 2\n" + rows)
+        cfg = smoke_config("setting1-linear", array=str(path), out_dir=str(tmp_path))
+        manifest = json.loads(run_experiment(cfg)["manifest"].read_text())
+        digests.append((manifest["config_sha256"], manifest["design_sha256"]))
+    (config_a, design_a), (config_b, design_b) = digests
+    assert config_a == config_b and design_a != design_b
 
 
 def test_version_is_one_number():
@@ -659,6 +675,29 @@ def test_every_config_key_reaches_its_field():
             parse_config(f"space = [2,2]\n{key} = 1")
 
 
+def test_readme_config_block_sets_every_key():
+    # README's example config file sets each key once; all but the five it
+    # picks for the example are at their defaults, as README says.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    after = readme.split("`run` also accepts a config file", 1)[1]
+    block = after.split("```ini\n", 1)[1].split("```", 1)[0]
+    keys = [
+        line.partition("=")[0].strip()
+        for line in block.splitlines()
+        if line.strip() and not line.lstrip().startswith("#")
+    ]
+    assert sorted(keys) == sorted(harness._CONFIG_KEYS)
+
+    def value(config, key):
+        group, name = harness._CONFIG_KEYS[key]
+        return getattr(getattr(config, group) if group else config, name)
+
+    shown, default = parse_config(block), ExperimentConfig(name="custom", space=[2, 2])
+    picked = {"name", "space", "mode", "array", "traffic"}
+    changed = [key for key in keys if value(shown, key) != value(default, key)]
+    assert [key for key in changed if key not in picked] == []
+
+
 def test_config_digest_covers_every_field_but_out_dir():
     base = PRESETS["mixed-nonlinear"]
     changes = {
@@ -695,8 +734,10 @@ def test_cli_run_preset(tmp_path, capsys):
         "--traffic", "2000,20000", "--reps", "3", "--out", str(tmp_path),
     ])
     assert rc == 0
-    out = capsys.readouterr().out
-    assert "csv:" in out and "svg:" in out
+    stem = tmp_path / "setting1-linear"
+    assert capsys.readouterr().out == (
+        f"csv: {stem}.csv\nsvg: {stem}.svg\nmanifest: {stem}.manifest.json\n"
+    )
     assert (tmp_path / "setting1-linear.csv").exists()
 
 

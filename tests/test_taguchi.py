@@ -234,7 +234,7 @@ def test_noiseless_linear_predict_matches_oracle(nine_row):
     space = SearchSpace([3, 3, 3, 3])
     for seed in range(100):
         ev = sample_evaluator(space, LINEAR, seed=seed)
-        scores = [ev.true_cr(nine_row.row_candidate(r)) for r in range(9)]
+        scores = ev.true_crs(nine_row.rows).tolist()
         oracle, _ = brute_force_best(ev)
         assert predict_best(nine_row, scores) == oracle
 
@@ -243,10 +243,10 @@ def test_best_tested(nine_row):
     # The best row's index, as a Python int: here the last row, (2, 2, 2, 0).
     best = best_tested(nine_row, [0] * 8 + [1])
     assert type(best) is int and best == 8
-    assert nine_row.row_candidate(best).choices == (2, 2, 2, 0)
+    assert nine_row.rows[best].tolist() == [2, 2, 2, 0]
     assert best_tested(nine_row, [0.5] * 9) == 0
     ev = sample_evaluator(SearchSpace([3, 3, 3, 3]), LINEAR, seed=42)
-    scores = [ev.true_cr(nine_row.row_candidate(r)) for r in range(9)]
+    scores = ev.true_crs(nine_row.rows).tolist()
     expect = max(range(9), key=lambda r: scores[r])
     assert best_tested(nine_row, scores) == expect
 
